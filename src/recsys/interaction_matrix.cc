@@ -11,6 +11,16 @@
 
 namespace spa::recsys {
 
+namespace {
+
+template <typename Id>
+void SortUnique(std::vector<Id>* ids) {
+  std::sort(ids->begin(), ids->end());
+  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+}
+
+}  // namespace
+
 ShardedInteractionMatrix::ShardedInteractionMatrix(size_t shards)
     : global_(std::make_unique<Global>()) {
   SPA_CHECK_MSG(shards > 0, "interaction matrix needs >= 1 shard");
@@ -36,8 +46,42 @@ size_t ShardedInteractionMatrix::ItemShardIndex(ItemId item) const {
                    item_shards_.size();
 }
 
-void ShardedInteractionMatrix::Add(UserId user, ItemId item,
-                                   double weight) {
+template <typename Id>
+void ShardedInteractionMatrix::DirtyRows<Id>::Touch(Id id,
+                                                   uint64_t stamp) {
+  // max, not assignment: Add draws its stamp before the shard locks,
+  // so a concurrent Add can reach the lock with a *newer* stamp first —
+  // overwriting would roll the row back to "clean before version N"
+  // and a later TouchedSince(N-1) would silently skip it.
+  uint64_t& row_stamp = touched[id];
+  row_stamp = std::max(row_stamp, stamp);
+  last_touched = std::max(last_touched, stamp);
+  ++version;
+  journal_dropped = std::max(journal_dropped, journal[journal_next].first);
+  journal[journal_next] = {stamp, id};
+  journal_next = (journal_next + 1) % kTouchJournalCapacity;
+}
+
+template <typename Id>
+void ShardedInteractionMatrix::DirtyRows<Id>::CollectSince(
+    uint64_t since, std::vector<Id>* out) const {
+  if (last_touched <= since) return;
+  // A row's stamp is the max over its touches, so "stamp > since" iff
+  // some touch after `since` — and all of those are still journaled
+  // when nothing newer than `since` was ever dropped.
+  if (journal_dropped <= since) {
+    for (const auto& [stamp, id] : journal) {
+      if (stamp > since) out->push_back(id);
+    }
+    return;
+  }
+  for (const auto& [id, stamp] : touched) {
+    if (stamp > since) out->push_back(id);
+  }
+}
+
+uint64_t ShardedInteractionMatrix::Add(UserId user, ItemId item,
+                                       double weight) {
   UserShard& us = *user_shards_[UserShardIndex(user)];
   ItemShard& is = *item_shards_[ItemShardIndex(item)];
   const uint64_t stamp =
@@ -77,18 +121,8 @@ void ShardedInteractionMatrix::Add(UserId user, ItemId item,
     iit->second.emplace_back(user, weight);
   }
 
-  // max, not assignment: stamps are drawn before the shard locks, so
-  // a concurrent Add can reach the lock with a *newer* stamp first —
-  // overwriting would roll the row back to "clean before version N"
-  // and a later TouchedSince(N-1) would silently skip it.
-  uint64_t& user_stamp = us.touched[user];
-  user_stamp = std::max(user_stamp, stamp);
-  us.last_touched = std::max(us.last_touched, stamp);
-  ++us.version;
-  uint64_t& item_stamp = is.touched[item];
-  item_stamp = std::max(item_stamp, stamp);
-  is.last_touched = std::max(is.last_touched, stamp);
-  ++is.version;
+  us.dirty.Touch(user, stamp);
+  is.dirty.Touch(item, stamp);
 
   if (user_new || item_new) {
     std::lock_guard<std::mutex> order_lock(global_->order_mu);
@@ -96,6 +130,7 @@ void ShardedInteractionMatrix::Add(UserId user, ItemId item,
     if (item_new) global_->item_order.push_back(item);
   }
   global_->interactions.fetch_add(1, std::memory_order_relaxed);
+  return stamp;
 }
 
 void ShardedInteractionMatrix::ApplyBatch(
@@ -154,7 +189,7 @@ void ShardedInteractionMatrix::ApplyBatch(
   // Phase U: each user shard replays its ops in batch order. One task
   // owns one shard, so within a row every accumulate/append — and
   // every floating-point addition into its norm — happens in exactly
-  // the sequential order; stamps ascend, so assignment == max-merge.
+  // the sequential order, and so does every journal append.
   const auto user_phase = [&](size_t s) {
     const auto start = std::chrono::steady_clock::now();
     UserShard& us = *user_shards_[s];
@@ -178,10 +213,7 @@ void ShardedInteractionMatrix::ApplyBatch(
       norm_delta[i] = new_weight * new_weight - old_weight * old_weight;
       cell_new[i] = accumulated ? 0 : 1;
       us.norm_sq[op.user] += norm_delta[i];
-      uint64_t& user_stamp = us.touched[op.user];
-      user_stamp = std::max(user_stamp, stamp);
-      us.last_touched = std::max(us.last_touched, stamp);
-      ++us.version;
+      us.dirty.Touch(op.user, stamp);
     }
     if (timing != nullptr) {
       timing->user_shard_seconds[s] = SecondsSince(start);
@@ -209,10 +241,7 @@ void ShardedInteractionMatrix::ApplyBatch(
         }
       }
       is.norm_sq[op.item] += norm_delta[i];
-      uint64_t& item_stamp = is.touched[op.item];
-      item_stamp = std::max(item_stamp, stamp);
-      is.last_touched = std::max(is.last_touched, stamp);
-      ++is.version;
+      is.dirty.Touch(op.item, stamp);
     }
     if (timing != nullptr) {
       timing->item_shard_seconds[s] = SecondsSince(start);
@@ -272,25 +301,22 @@ double ShardedInteractionMatrix::ItemNormSquared(ItemId item) const {
 uint64_t ShardedInteractionMatrix::user_shard_version(
     size_t shard) const {
   SPA_CHECK(shard < user_shards_.size());
-  return user_shards_[shard]->version;
+  return user_shards_[shard]->dirty.version;
 }
 
 uint64_t ShardedInteractionMatrix::item_shard_version(
     size_t shard) const {
   SPA_CHECK(shard < item_shards_.size());
-  return item_shards_[shard]->version;
+  return item_shards_[shard]->dirty.version;
 }
 
 std::vector<UserId> ShardedInteractionMatrix::UsersTouchedSince(
     uint64_t since) const {
   std::vector<UserId> out;
   for (const auto& shard : user_shards_) {
-    if (shard->last_touched <= since) continue;
-    for (const auto& [user, stamp] : shard->touched) {
-      if (stamp > since) out.push_back(user);
-    }
+    shard->dirty.CollectSince(since, &out);
   }
-  std::sort(out.begin(), out.end());
+  SortUnique(&out);
   return out;
 }
 
@@ -298,12 +324,9 @@ std::vector<ItemId> ShardedInteractionMatrix::ItemsTouchedSince(
     uint64_t since) const {
   std::vector<ItemId> out;
   for (const auto& shard : item_shards_) {
-    if (shard->last_touched <= since) continue;
-    for (const auto& [item, stamp] : shard->touched) {
-      if (stamp > since) out.push_back(item);
-    }
+    shard->dirty.CollectSince(since, &out);
   }
-  std::sort(out.begin(), out.end());
+  SortUnique(&out);
   return out;
 }
 

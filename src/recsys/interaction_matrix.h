@@ -70,8 +70,9 @@ class ShardedInteractionMatrix {
       delete;
 
   /// Adds (accumulates) one interaction; routes the user row and the
-  /// item postings to their shards and stamps both rows dirty.
-  void Add(UserId user, ItemId item, double weight = 1.0);
+  /// item postings to their shards and stamps both rows dirty. Returns
+  /// the stamp: the global version this mutation produced.
+  uint64_t Add(UserId user, ItemId item, double weight = 1.0);
 
   /// What one `ApplyBatch` spent per shard group, indexed by shard
   /// (0.0 and 0 ops for shards the batch never touched) — the
@@ -131,38 +132,66 @@ class ShardedInteractionMatrix {
 
   // ---- sharding introspection & dirty-row tracking -----------------------
 
+  /// Recent touches each shard journals for TouchedSince (a fixed
+  /// constant: a live-update refresh asks about the last batch, which
+  /// rarely touches more rows of one shard).
+  static constexpr size_t kTouchJournalCapacity = 256;
+
   size_t shard_count() const { return user_shards_.size(); }
   /// Mutations routed to one user/item shard (all shards sum to
   /// `version()`).
   uint64_t user_shard_version(size_t shard) const;
   uint64_t item_shard_version(size_t shard) const;
 
-  /// Users whose rows mutated after global version `since`, ascending.
-  /// Shards untouched since `since` are skipped entirely, so a refresh
-  /// after a small batch scans only the shards the batch hit.
+  /// Users whose rows mutated after global version `since`, ascending
+  /// and distinct. Shards untouched since `since` are skipped; a shard
+  /// whose journal still covers `since` reads only its journal, so a
+  /// refresh after a small batch costs O(batch), not O(rows). Older
+  /// cursors fall back to scanning the shard's per-row stamps.
   std::vector<UserId> UsersTouchedSince(uint64_t since) const;
   /// Items whose postings mutated after global version `since`,
-  /// ascending.
+  /// ascending and distinct (same journal/scan rule).
   std::vector<ItemId> ItemsTouchedSince(uint64_t since) const;
 
  private:
+  /// One shard's dirty-row bookkeeping: the exact per-row stamps, plus
+  /// a bounded journal of recent touches that lets TouchedSince cost
+  /// O(recent touches) instead of O(rows in the shard).
+  template <typename Id>
+  struct DirtyRows {
+    /// Global version stamp of each row's last mutation.
+    std::unordered_map<Id, uint64_t> touched;
+    uint64_t version = 0;       ///< mutations routed to this shard
+    uint64_t last_touched = 0;  ///< global version of the latest one
+    /// Ring of the last kTouchJournalCapacity (stamp, row) touches, in
+    /// arrival order. Slots not yet written hold stamp 0, which no
+    /// cursor counts as a touch.
+    std::vector<std::pair<uint64_t, Id>> journal =
+        std::vector<std::pair<uint64_t, Id>>(kTouchJournalCapacity);
+    size_t journal_next = 0;  ///< slot the next append overwrites
+    /// Highest stamp ever overwritten in the ring. Every touch stamped
+    /// above it is still journaled, so the journal alone answers
+    /// `since >= journal_dropped` exactly — also when concurrent Adds
+    /// append their stamps out of order.
+    uint64_t journal_dropped = 0;
+
+    /// Records one mutation of `id` at global version `stamp`.
+    void Touch(Id id, uint64_t stamp);
+    /// Appends the rows touched after `since` (unsorted, may repeat).
+    void CollectSince(uint64_t since, std::vector<Id>* out) const;
+  };
   struct UserShard {
     std::unordered_map<UserId, std::vector<std::pair<ItemId, double>>>
         rows;
     std::unordered_map<UserId, double> norm_sq;
-    /// Global version stamp of each row's last mutation.
-    std::unordered_map<UserId, uint64_t> touched;
-    uint64_t version = 0;       ///< mutations routed to this shard
-    uint64_t last_touched = 0;  ///< global version of the latest one
+    DirtyRows<UserId> dirty;
     std::mutex mu;
   };
   struct ItemShard {
     std::unordered_map<ItemId, std::vector<std::pair<UserId, double>>>
         postings;
     std::unordered_map<ItemId, double> norm_sq;
-    std::unordered_map<ItemId, uint64_t> touched;
-    uint64_t version = 0;
-    uint64_t last_touched = 0;
+    DirtyRows<ItemId> dirty;
     std::mutex mu;
   };
   /// State shared across shards. Counters are atomic so shard-parallel

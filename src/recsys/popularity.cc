@@ -1,5 +1,6 @@
 #include "recsys/popularity.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/clock.h"
@@ -25,18 +26,33 @@ spa::Status PopularityRecommender::Refresh(RefreshOutcome* outcome) {
     return spa::Status::FailedPrecondition(
         "Popularity not fitted; nothing to refresh");
   }
-  outcome->all_users = true;
   if (matrix_->version() == synced_version_) return spa::Status::OK();
+  outcome->all_users = true;
   const auto start = std::chrono::steady_clock::now();
   const std::vector<ItemId> dirty =
       matrix_->ItemsTouchedSince(synced_version_);
+  // ranked_ is sorted under a strict total order, so a dirty item's
+  // entry sits exactly at lower_bound of its *old* total. Brand-new
+  // items have no entry yet.
+  std::vector<size_t> stale;
+  std::vector<Scored> moved;
+  stale.reserve(dirty.size());
+  moved.reserve(dirty.size());
   for (const ItemId item : dirty) {
     double total = 0.0;
     for (const auto& [user, w] : matrix_->UsersOf(item)) total += w;
-    total_[item] = total;
+    const auto [it, inserted] = total_.try_emplace(item, total);
+    if (!inserted) {
+      stale.push_back(static_cast<size_t>(
+          std::lower_bound(ranked_.begin(), ranked_.end(),
+                           Scored{item, it->second}, RanksBefore) -
+          ranked_.begin()));
+      it->second = total;
+    }
+    moved.push_back({item, total});
   }
   synced_version_ = matrix_->version();
-  Rank();
+  Rerank(std::move(stale), std::move(moved));
   outcome->rows_refreshed += dirty.size();
   outcome->seconds += SecondsSince(start);
   return spa::Status::OK();
@@ -49,6 +65,40 @@ void PopularityRecommender::Rank() {
     ranked_.push_back({item, total_.at(item)});
   }
   SortAndTruncate(&ranked_, ranked_.size());
+}
+
+void PopularityRecommender::Rerank(std::vector<size_t> stale,
+                                   std::vector<Scored> moved) {
+  // 1. Close the stale entries' gaps, one block move per gap.
+  std::sort(stale.begin(), stale.end());
+  auto write = ranked_.begin() +
+               static_cast<std::ptrdiff_t>(
+                   stale.empty() ? ranked_.size() : stale.front());
+  for (size_t s = 0; s < stale.size(); ++s) {
+    const auto from = ranked_.begin() +
+                      static_cast<std::ptrdiff_t>(stale[s] + 1);
+    const auto to = s + 1 < stale.size()
+                        ? ranked_.begin() +
+                              static_cast<std::ptrdiff_t>(stale[s + 1])
+                        : ranked_.end();
+    write = std::move(from, to, write);
+  }
+  ranked_.erase(write, ranked_.end());
+  // 2. Merge the re-totalled entries back from the back: each lands at
+  // its upper_bound among the kept entries, which shift right as one
+  // block. The order is total, so this is the sequence Rank() sorts.
+  std::sort(moved.begin(), moved.end(), RanksBefore);
+  const size_t kept = ranked_.size();
+  ranked_.resize(kept + moved.size());
+  auto kept_end = ranked_.begin() + static_cast<std::ptrdiff_t>(kept);
+  auto out = ranked_.end();
+  for (auto m = moved.rbegin(); m != moved.rend(); ++m) {
+    const auto at =
+        std::upper_bound(ranked_.begin(), kept_end, *m, RanksBefore);
+    out = std::move_backward(at, kept_end, out);
+    kept_end = at;
+    *--out = *m;
+  }
 }
 
 std::vector<Scored> PopularityRecommender::RecommendCandidates(

@@ -17,19 +17,24 @@ class PopularityRecommender : public Recommender {
  public:
   spa::Status Fit(const InteractionMatrix& matrix) override;
   /// Recomputes the totals of items whose postings mutated since the
-  /// last Fit/Refresh (each re-summed exactly as Fit would, so the
-  /// ranking stays bitwise-identical to a refit). Popularity is
+  /// last Fit/Refresh (each re-summed exactly as Fit would) and merges
+  /// just those items back into the ranking at their new totals, so
+  /// the cost is O(dirty items · log catalog) plus one block move, and
+  /// the ranking stays bitwise-identical to a refit. Popularity is
   /// non-personalized — a changed total can move any user's blend —
-  /// so every user is reported affected.
+  /// so every user is reported affected whenever the matrix moved; a
+  /// clean refresh reports nothing.
   spa::Status Refresh(RefreshOutcome* outcome) override;
   std::vector<Scored> RecommendCandidates(
       const CandidateQuery& query) const override;
   std::string name() const override { return "Popularity"; }
 
  private:
-  /// Rebuilds `ranked_` from `total_` in matrix item order (the exact
-  /// construction Fit uses).
+  /// Builds `ranked_` from `total_` in matrix item order (Fit only).
   void Rank();
+  /// Drops the entries at `stale` (positions in `ranked_`) and merges
+  /// `moved` back in, keeping `ranked_` sorted by RanksBefore.
+  void Rerank(std::vector<size_t> stale, std::vector<Scored> moved);
 
   const InteractionMatrix* matrix_ = nullptr;
   std::unordered_map<ItemId, double> total_;  // interaction weight sums

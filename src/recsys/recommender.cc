@@ -20,11 +20,7 @@ bool CandidateQuery::Admits(const InteractionMatrix* matrix,
 }
 
 void SortAndTruncate(std::vector<Scored>* candidates, size_t k) {
-  std::sort(candidates->begin(), candidates->end(),
-            [](const Scored& a, const Scored& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.item < b.item;
-            });
+  std::sort(candidates->begin(), candidates->end(), RanksBefore);
   if (candidates->size() > k) candidates->resize(k);
 }
 

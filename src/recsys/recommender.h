@@ -125,7 +125,16 @@ class Recommender {
   }
 };
 
-/// Sorts candidates by (score desc, item asc) and truncates to k.
+/// The ranking order every component emits: score descending, ties by
+/// ascending item id. A strict total order over distinct items, so a
+/// sorted sequence of them is unique. A lambda object, not a function,
+/// so every sort and search that takes it inlines the comparison.
+inline constexpr auto RanksBefore = [](const Scored& a, const Scored& b) {
+  if (a.score != b.score) return a.score > b.score;
+  return a.item < b.item;
+};
+
+/// Sorts candidates by RanksBefore and truncates to k.
 void SortAndTruncate(std::vector<Scored>* candidates, size_t k);
 
 }  // namespace spa::recsys

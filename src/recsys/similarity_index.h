@@ -37,7 +37,8 @@
 /// in place: `Refresh{User,Item}SimilarityIndex` asks the sharded
 /// store which rows mutated since the stamp
 /// (`UsersTouchedSince`/`ItemsTouchedSince` — clean shards are
-/// skipped), expands them to the affected set (the dirty rows plus
+/// skipped, recent cursors read only each shard's touch journal),
+/// expands them to the affected set (the dirty rows plus
 /// every row sharing a key with one, i.e. the reverse neighbors whose
 /// similarities involve a mutated vector), and rebuilds exactly those
 /// rows in parallel. Rows outside the affected set cannot change —

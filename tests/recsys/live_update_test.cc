@@ -2,6 +2,7 @@
 #include <atomic>
 #include <memory>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -146,6 +147,139 @@ TEST(ShardedMatrixTest, TouchedSinceReportsExactlyTheDirtyRows) {
   // From the beginning of time, everything is dirty.
   EXPECT_EQ(m.UsersTouchedSince(0).size(), m.user_count());
   EXPECT_EQ(m.ItemsTouchedSince(0).size(), m.item_count());
+}
+
+/// Brute-force TouchedSince for every cursor in [from, version]: sweeps
+/// the cursor downward, growing the expected set from each row's last
+/// stamp, and compares it with `touched_since(cursor)`.
+template <typename Id, typename TouchedSince>
+void ExpectTouchedSinceSweep(
+    uint64_t version, uint64_t from,
+    const std::unordered_map<Id, uint64_t>& last_stamp,
+    const TouchedSince& touched_since) {
+  std::vector<std::pair<uint64_t, Id>> by_stamp;
+  for (const auto& [id, stamp] : last_stamp) by_stamp.emplace_back(stamp, id);
+  std::sort(by_stamp.rbegin(), by_stamp.rend());  // newest first
+  std::vector<Id> expected;
+  size_t next = 0;
+  for (uint64_t since = version + 1; since-- > from;) {
+    while (next < by_stamp.size() && by_stamp[next].first > since) {
+      const Id id = by_stamp[next++].second;
+      expected.insert(
+          std::upper_bound(expected.begin(), expected.end(), id), id);
+    }
+    ASSERT_EQ(touched_since(since), expected) << "since " << since;
+  }
+}
+
+/// Both TouchedSince views against the reference, cursors [from,
+/// version()].
+void ExpectTouchedSinceMatchesReference(
+    const InteractionMatrix& m,
+    const std::unordered_map<UserId, uint64_t>& user_stamp,
+    const std::unordered_map<ItemId, uint64_t>& item_stamp,
+    uint64_t from = 0) {
+  ExpectTouchedSinceSweep(m.version(), from, user_stamp, [&](uint64_t v) {
+    return m.UsersTouchedSince(v);
+  });
+  ExpectTouchedSinceSweep(m.version(), from, item_stamp, [&](uint64_t v) {
+    return m.ItemsTouchedSince(v);
+  });
+}
+
+/// True when some user shard and some item shard saw more touches
+/// than a journal holds, so old cursors must take the full stamp scan.
+bool SomeJournalsOverflowed(const InteractionMatrix& m) {
+  bool user_side = false, item_side = false;
+  for (size_t s = 0; s < m.shard_count(); ++s) {
+    user_side |= m.user_shard_version(s) >
+                 InteractionMatrix::kTouchJournalCapacity;
+    item_side |= m.item_shard_version(s) >
+                 InteractionMatrix::kTouchJournalCapacity;
+  }
+  return user_side && item_side;
+}
+
+TEST(ShardedMatrixTest, JournaledTouchedSinceMatchesBruteForce) {
+  // Add runs and ApplyBatch batches (pooled and not) interleave until
+  // a user and an item journal have overflowed, plus two more rounds:
+  // recent cursors then read the journal and old ones fall back to the
+  // stamp scan — both must equal the brute-force reference at every
+  // cursor. Few distinct rows keep every shard count's stream short.
+  ThreadPool pool(2);
+  for (const size_t shards : {size_t{1}, size_t{4}, size_t{16}}) {
+    InteractionMatrix m(shards);
+    std::unordered_map<UserId, uint64_t> user_stamp;
+    std::unordered_map<ItemId, uint64_t> item_stamp;
+    Rng rng(131 + shards);
+    for (int round = 0, extra = 0; extra < 2; ++round) {
+      const auto batch = MakeBatch(
+          &rng, static_cast<size_t>(rng.UniformInt(1, 100)), 40, 20);
+      if (round % 2 == 0) {
+        for (const Interaction& x : batch) {
+          const uint64_t stamp = m.Add(x.user, x.item, x.weight);
+          user_stamp[x.user] = stamp;
+          item_stamp[x.item] = stamp;
+        }
+      } else {
+        const uint64_t v0 = m.version();
+        m.ApplyBatch(batch, round % 4 == 1 ? &pool : nullptr);
+        for (size_t i = 0; i < batch.size(); ++i) {
+          user_stamp[batch[i].user] = v0 + i + 1;
+          item_stamp[batch[i].item] = v0 + i + 1;
+        }
+      }
+      if (SomeJournalsOverflowed(m)) ++extra;
+    }
+    ExpectTouchedSinceMatchesReference(m, user_stamp, item_stamp);
+  }
+}
+
+TEST(ShardedMatrixTest, JournalStaysExactUnderConcurrentAdds) {
+  // Concurrent Adds draw stamps before taking the shard locks, so the
+  // journal receives them out of order, and an overwritten slot can
+  // hold an older stamp than one overwritten before it. Every Add
+  // touches a fresh user and a fresh item, so a dropped touch is its
+  // row's only one: judging coverage by the last overwritten stamp
+  // instead of the highest would lose rows. Each round races 4
+  // threads on one shard (maximal contention), joins them, and checks
+  // every cursor from just below the journal's edge up.
+  constexpr int kThreads = 4;
+  constexpr int kAddsPerRound = 40;
+  constexpr int kRounds = 24;
+  InteractionMatrix m(1);
+  std::unordered_map<UserId, uint64_t> user_stamp;
+  std::unordered_map<ItemId, uint64_t> item_stamp;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::vector<std::pair<int, uint64_t>>> logs(kThreads);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        while (!go.load(std::memory_order_acquire)) {
+        }
+        for (int i = 0; i < kAddsPerRound; ++i) {
+          const int row = (round * kThreads + t) * kAddsPerRound + i;
+          logs[t].emplace_back(row,
+                               m.Add(row, static_cast<ItemId>(row), 1.0));
+        }
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (std::thread& thread : threads) thread.join();
+    for (const auto& log : logs) {
+      for (const auto& [row, stamp] : log) {
+        user_stamp[row] = stamp;
+        item_stamp[static_cast<ItemId>(row)] = stamp;
+      }
+    }
+    const uint64_t edge = InteractionMatrix::kTouchJournalCapacity + 32;
+    ExpectTouchedSinceMatchesReference(
+        m, user_stamp, item_stamp,
+        m.version() < edge ? 0 : m.version() - edge);
+  }
+  ASSERT_EQ(m.version(), uint64_t{kThreads} * kAddsPerRound * kRounds);
+  EXPECT_TRUE(SomeJournalsOverflowed(m));
 }
 
 TEST(ShardedMatrixTest, MoveAssignPreservesContent) {
@@ -364,6 +498,117 @@ TEST(PopularityRefreshTest, RefreshMatchesRefitBitwise) {
   }
 }
 
+TEST(PopularityRefreshTest, CleanRefreshIsANoOp) {
+  // Mirrors IndexRefreshTest.CleanIndexRefreshIsANoOp: nothing moved,
+  // so nothing is refreshed and no user is reported affected.
+  const InteractionMatrix m = MakeRandomMatrix(71, 30, 15, 2);
+  PopularityRecommender rec;
+  ASSERT_TRUE(rec.Fit(m).ok());
+  RefreshOutcome outcome;
+  ASSERT_TRUE(rec.Refresh(&outcome).ok());
+  EXPECT_FALSE(outcome.all_users);
+  EXPECT_EQ(outcome.rows_refreshed, 0u);
+  EXPECT_TRUE(outcome.affected_users.empty());
+}
+
+/// Fitted items of the popularity differential tests live at
+/// [kItemBase, kItemBase + items); brand-new items are drawn below and
+/// above that range, so a forced tie can fall on either side of the
+/// item-id order.
+constexpr ItemId kItemBase = 500;
+
+InteractionMatrix MakeOffsetItemMatrix(uint64_t seed, size_t users,
+                                       size_t items) {
+  Rng rng(seed);
+  InteractionMatrix m(4);
+  for (const Interaction& x : MakeBatch(&rng, users * 6, users, items)) {
+    m.Add(x.user, x.item + kItemBase, x.weight);
+  }
+  return m;
+}
+
+/// Brand-new item ids handed out below and above the fitted range.
+struct NewItemIds {
+  ItemId below = kItemBase - 1;
+  ItemId above;
+};
+
+/// One batch for the popularity differential tests: random cells over
+/// fitted items plus four brand-new items whose totals force ties —
+/// one equal to some item's current total from each side of the id
+/// range, and a below/above pair with equal totals — so the item-id
+/// tie-break decides positions.
+std::vector<Interaction> MakeTieForcingBatch(Rng* rng,
+                                             const InteractionMatrix& m,
+                                             size_t users, size_t items,
+                                             NewItemIds* ids) {
+  std::vector<Interaction> batch = MakeBatch(
+      rng, static_cast<size_t>(rng->UniformInt(1, 6)), users, items);
+  for (Interaction& x : batch) x.item += kItemBase;
+  const auto user = [&] {
+    return static_cast<UserId>(
+        rng->UniformInt(0, static_cast<int64_t>(users) - 1));
+  };
+  const auto some_total = [&] {
+    const ItemId item = m.items()[static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(m.item_count()) - 1))];
+    double total = 0.0;
+    for (const auto& [u, w] : m.UsersOf(item)) total += w;
+    return total;
+  };
+  batch.push_back({user(), ids->below--, some_total()});
+  batch.push_back({user(), ids->above++, some_total()});
+  const double shared = rng->Uniform(0.2, 3.0);
+  batch.push_back({user(), ids->below--, shared});
+  batch.push_back({user(), ids->above++, shared});
+  return batch;
+}
+
+/// Every position of the two full rankings, item and bitwise score;
+/// returns the number of adjacent equal-score pairs seen.
+size_t ExpectSameFullRanking(const std::vector<Scored>& a,
+                             const std::vector<Scored>& b) {
+  size_t ties = 0;
+  EXPECT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    EXPECT_EQ(a[i].item, b[i].item) << "position " << i;
+    EXPECT_EQ(a[i].score, b[i].score) << "position " << i;  // bitwise
+    if (i > 0 && a[i].score == a[i - 1].score) ++ties;
+  }
+  return ties;
+}
+
+TEST(PopularityRefreshTest, IncrementalRerankMatchesRefitOverRandomBatches) {
+  // The incremental re-rank merges only the dirty items back; after
+  // every batch the whole ranking must equal a fresh Fit's.
+  InteractionMatrix m = MakeOffsetItemMatrix(73, 40, 30);
+  PopularityRecommender live;
+  ASSERT_TRUE(live.Fit(m).ok());
+  Rng rng(79);
+  NewItemIds new_items{.above = kItemBase + 30};
+  size_t ties = 0;
+  for (int round = 0; round < 60; ++round) {
+    const auto batch = MakeTieForcingBatch(&rng, m, 40, 30, &new_items);
+    if (round % 2 == 0) {
+      m.ApplyBatch(batch, nullptr);
+    } else {
+      for (const Interaction& x : batch) m.Add(x.user, x.item, x.weight);
+    }
+    RefreshOutcome outcome;
+    ASSERT_TRUE(live.Refresh(&outcome).ok());
+    EXPECT_TRUE(outcome.all_users);
+    PopularityRecommender refit;
+    ASSERT_TRUE(refit.Fit(m).ok());
+    CandidateQuery query;
+    query.k = m.item_count();
+    query.exclude_seen = ExcludeSeen::kNo;
+    const auto a = live.RecommendCandidates(query);
+    ASSERT_EQ(a.size(), m.item_count());
+    ties += ExpectSameFullRanking(a, refit.RecommendCandidates(query));
+  }
+  EXPECT_GE(ties, 60u);  // the tie-break really decided positions
+}
+
 // ---- engine ApplyInteractions ----------------------------------------------
 
 std::unique_ptr<RecsysEngine> MakeKnnEngine(
@@ -415,6 +660,45 @@ TEST(LiveUpdateEngineTest, ApplyInteractionsMatchesFullRefit) {
   }
   EXPECT_EQ(live->live_update_stats().batches, 3u);
   EXPECT_GT(live->live_update_stats().rows_refreshed, 0u);
+}
+
+std::vector<Scored> AsScored(const RecommendResponse& response) {
+  std::vector<Scored> out;
+  for (const RecommendedItem& item : response.items) {
+    out.push_back({item.item, item.score});
+  }
+  return out;
+}
+
+TEST(LiveUpdateEngineTest, FallbackTierMatchesRefitAfterEveryApply) {
+  // The degrade tier re-ranks incrementally too; after every batch its
+  // whole ranking must equal a freshly fitted engine's.
+  InteractionMatrix matrix = MakeOffsetItemMatrix(83, 40, 30);
+  auto live = MakeKnnEngine(/*cache_capacity=*/64);
+  ASSERT_TRUE(live->Fit(&matrix).ok());
+  Rng rng(89);
+  NewItemIds new_items{.above = kItemBase + 30};
+  size_t ties = 0;
+  for (int round = 0; round < 50; ++round) {
+    ASSERT_TRUE(live->ApplyInteractions(
+                        MakeTieForcingBatch(&rng, matrix, 40, 30,
+                                            &new_items))
+                    .ok());
+    auto refit = MakeKnnEngine(/*cache_capacity=*/0);
+    ASSERT_TRUE(refit->Fit(matrix).ok());
+    for (const ExcludeSeen exclude : {ExcludeSeen::kNo, ExcludeSeen::kYes}) {
+      RecommendRequest request;
+      request.user = static_cast<UserId>(round % 40);
+      request.k = matrix.item_count();
+      request.exclude_seen = exclude;
+      const auto a = live->RecommendFallback(request);
+      const auto b = refit->RecommendFallback(request);
+      ASSERT_TRUE(a.ok());
+      ASSERT_TRUE(b.ok());
+      ties += ExpectSameFullRanking(AsScored(a.value()), AsScored(b.value()));
+    }
+  }
+  EXPECT_GE(ties, 50u);
 }
 
 TEST(LiveUpdateEngineTest, ShardCountDoesNotChangeRankings) {
