@@ -1186,45 +1186,25 @@ int Main(int argc, char** argv) {
   const RouterResult router_result =
       RunRouterScenario(users, items, k, flags.seed + 3);
 
-  // ---- staged dataflow: bitwise parity vs the fused inline path -----------
+  // ---- staged dataflow: bitwise parity vs per-request serving ----------
   // Both passes compute from scratch (cache cleared before each) at
   // the same pinned versions; the responses must match byte-for-byte.
-  PrintHeader("Staged dataflow - parity vs fused inline serving");
+  PrintHeader("Staged dataflow - parity vs per-request RecommendBatch");
   cached_engine->ClearResponseCache();
   recsys::BatchPin staged_pin;
   const auto staged_results =
       cached_engine->RecommendBatchStaged(requests, &staged_pin);
   cached_engine->ClearResponseCache();
-  recsys::BatchPin inline_pin;
-  const auto inline_results =
-      cached_engine->RecommendBatchInline(requests, &inline_pin);
+  recsys::BatchPin batch_pin;
+  const auto batch_results =
+      cached_engine->RecommendBatch(requests, &batch_pin);
   const bool staged_parity =
-      SameResults(staged_results, inline_results) &&
-      staged_pin.fit_epoch == inline_pin.fit_epoch &&
-      staged_pin.matrix_version == inline_pin.matrix_version &&
-      staged_pin.sum_version == inline_pin.sum_version;
-  std::printf("staged vs inline (%zu requests): %s\n", requests.size(),
-              staged_parity ? "OK" : "MISMATCH");
-
-  // ---- per-stage latency --------------------------------------------------
-  const recsys::StageStats stages = cached_engine->stage_stats();
-  PrintHeader("Per-stage serving latency (cached engine, cumulative)");
-  const auto print_stage = [](const char* name,
-                              const recsys::StageStats::Stage& s) {
-    std::printf("%-14s %8llu calls | total %8.3f ms | mean %8.1f us | "
-                "p50 %8.1f us | p95 %8.1f us | p99 %8.1f us | "
-                "max %8.1f us\n",
-                name, static_cast<unsigned long long>(s.count),
-                s.total_seconds * 1e3,
-                s.count > 0 ? s.total_seconds * 1e6 /
-                                  static_cast<double>(s.count)
-                            : 0.0,
-                s.p50_seconds * 1e6, s.p95_seconds * 1e6,
-                s.p99_seconds * 1e6, s.max_seconds * 1e6);
-  };
-  print_stage("candidate-gen", stages.candidate_gen);
-  print_stage("rerank", stages.rerank);
-  print_stage("cache-lookup", stages.cache_lookup);
+      SameResults(staged_results, batch_results) &&
+      staged_pin.fit_epoch == batch_pin.fit_epoch &&
+      staged_pin.matrix_version == batch_pin.matrix_version &&
+      staged_pin.sum_version == batch_pin.sum_version;
+  std::printf("staged vs RecommendBatch (%zu requests): %s\n",
+              requests.size(), staged_parity ? "OK" : "MISMATCH");
 
   // ---- JSON ---------------------------------------------------------------
   std::FILE* json = std::fopen("BENCH_serving.json", "w");
@@ -1363,37 +1343,21 @@ int Main(int argc, char** argv) {
                    i + 1 < router_result.points.size() ? "," : "");
     }
     std::fprintf(json, "    ]\n  },\n");
-    const auto stage_json = [json](const char* name,
-                                   const recsys::StageStats::Stage& s,
-                                   const char* suffix) {
-      std::fprintf(json,
-                   "    \"%s\": {\"count\": %llu, "
-                   "\"total_seconds\": %.6f, \"max_seconds\": %.6f, ",
-                   name, static_cast<unsigned long long>(s.count),
-                   s.total_seconds, s.max_seconds);
-      WriteQuantileFields(json, Quantiles(s.histogram, 1e6), "us");
-      std::fprintf(json, "}%s\n", suffix);
-    };
     // Hierarchical profiler export (schema: docs/METRICS.md): the
     // leveled L1/L2/L3 item catalog of the cached engine plus the
-    // staged-vs-inline parity verdict.
+    // staged-vs-RecommendBatch parity verdict.
     const spa::Profiler& profiler = cached_engine->profiler();
     std::fprintf(json,
                  "  \"stages\": {\n"
                  "    \"staged_parity\": %s,\n"
                  "    \"level\": %d,\n"
                  "    \"epochs\": %llu,\n"
-                 "    \"items\": %s\n  },\n",
+                 "    \"items\": %s\n  }\n",
                  staged_parity ? "true" : "false",
                  static_cast<int>(profiler.level()),
                  static_cast<unsigned long long>(profiler.epochs()),
                  profiler.ExportItemsJson(spa::ProfilerLevel::kL3, 4)
                      .c_str());
-    std::fprintf(json, "  \"stage_latency\": {\n");
-    stage_json("candidate_gen", stages.candidate_gen, ",");
-    stage_json("rerank", stages.rerank, ",");
-    stage_json("cache_lookup", stages.cache_lookup, "");
-    std::fprintf(json, "  }\n");
     std::fprintf(json, "}\n");
     std::fclose(json);
     std::printf("\nwrote BENCH_serving.json\n");
@@ -1418,7 +1382,8 @@ int Main(int argc, char** argv) {
   // Routed serving must match the single-process engine bitwise at the
   // same pinned versions — the router tier's whole contract.
   if (!router_result.parity) return 1;
-  // The staged dataflow must reproduce the fused path byte-for-byte.
+  // The staged dataflow must reproduce per-request serving
+  // byte-for-byte.
   if (!staged_parity) return 1;
   return cache_parity ? 0 : 1;
 }

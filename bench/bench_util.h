@@ -68,17 +68,6 @@ inline QuantileSnapshot Quantiles(const spa::LogHistogram& histogram,
   return snapshot;
 }
 
-/// Emits the quantile triple as JSON fields (no braces, no trailing
-/// comma): `"p50_<unit>": x, "p95_<unit>": y, "p99_<unit>": z`.
-inline void WriteQuantileFields(std::FILE* json,
-                                const QuantileSnapshot& quantiles,
-                                const char* unit) {
-  std::fprintf(json,
-               "\"p50_%s\": %.4f, \"p95_%s\": %.4f, \"p99_%s\": %.4f",
-               unit, quantiles.p50, unit, quantiles.p95, unit,
-               quantiles.p99);
-}
-
 inline void PrintHeader(const std::string& title) {
   std::printf("\n============================================================\n");
   std::printf("%s\n", title.c_str());

@@ -55,8 +55,9 @@ class ItemTimer {
 }  // namespace
 
 /// Per-request intermediate state between the serving stages. Owned by
-/// the caller (`Serve` keeps one on its stack; `RecommendBatchStaged`
-/// keeps one per request for the whole micro-batch).
+/// the caller (`RecommendIntoImpl` borrows a pooled one;
+/// `RecommendBatchStaged` keeps one per request for the whole
+/// micro-batch).
 struct RecsysEngine::ServeState {
   struct Ranked {
     double score = 0.0;
@@ -86,7 +87,7 @@ struct RecsysEngine::ServeState {
   }
 };
 
-/// The pooled unit the fused serve path recycles: per-request stage
+/// The pooled unit the per-request serve path recycles: per-request stage
 /// state plus the kernel scoring workspace, both keeping their
 /// capacities between requests.
 struct RecsysEngine::ServeScratch {
@@ -529,36 +530,14 @@ void RecsysEngine::ClearResponseCache() const {
   cache_index_.clear();
 }
 
-StageStats RecsysEngine::stage_stats() const {
-  const ProfilerSnapshot snap = profiler_.Snapshot(ProfilerLevel::kL2);
-  const auto to_stage = [&snap](ProfilerItem item) {
-    StageStats::Stage out;
-    for (const ProfilerItemSnapshot& s : snap.items) {
-      if (s.item != item) continue;
-      out.count = s.count;
-      out.total_seconds = s.total_seconds;
-      out.max_seconds = s.max_seconds;
-      out.p50_seconds = s.p50_seconds;
-      out.p95_seconds = s.p95_seconds;
-      out.p99_seconds = s.p99_seconds;
-      out.histogram = s.histogram;
-      break;
-    }
-    return out;
-  };
-  StageStats stats;
-  stats.candidate_gen = to_stage(ProfilerItem::kStageCandidateGen);
-  stats.rerank = to_stage(ProfilerItem::kStageRerank);
-  stats.cache_lookup = to_stage(ProfilerItem::kStageCacheLookup);
-  return stats;
-}
-
 // ---- serving ---------------------------------------------------------------
 
 spa::Result<RecommendResponse> RecsysEngine::Recommend(
     const RecommendRequest& request) const {
-  std::shared_lock lock(serve_mutex_);
-  return RecommendImpl(request, /*batch_snapshot=*/nullptr);
+  RecommendResponse response;
+  spa::Status status = RecommendInto(request, &response);
+  if (!status.ok()) return status;
+  return response;
 }
 
 spa::Status RecsysEngine::RecommendInto(const RecommendRequest& request,
@@ -706,23 +685,12 @@ spa::Status RecsysEngine::RecommendIntoImpl(
   return spa::Status::OK();
 }
 
-spa::Result<RecommendResponse> RecsysEngine::RecommendImpl(
-    const RecommendRequest& request,
-    const sum::SumSnapshotPtr& batch_snapshot) const {
-  RecommendResponse response;
-  spa::Status status =
-      RecommendIntoImpl(request, batch_snapshot, &response);
-  if (!status.ok()) return status;
-  return response;
-}
-
 // ---- the staged serving dataflow -------------------------------------------
 //
-// `Serve` composes the four stages back-to-back — that IS the fused
-// per-request path, so the staged batch executor below is
-// byte-identical to it by construction: each stage performs the exact
-// floating-point operations of the corresponding slice of the former
-// monolithic body, in the same order, on per-request state.
+// `RecommendIntoImpl` composes the four stages back-to-back — that IS
+// the per-request path, so the staged batch executor below is
+// byte-identical to it by construction: both run the same stage
+// methods, in the same order, on per-request state.
 
 void RecsysEngine::ServeCandidates(const RecommendRequest& request,
                                    ServeState* state) const {
@@ -859,6 +827,24 @@ void RecsysEngine::ServeExplain(const RecommendRequest& request,
   timer.Stop();
 }
 
+sum::SumSnapshotPtr RecsysEngine::PinBatch(BatchPin* pin) const {
+  // One snapshot for the whole batch: every request sees the same
+  // emotional context (mutually consistent rankings) and the per-
+  // request snapshot acquisition disappears from the hot path. Pinned
+  // *inside* the caller's lock hold so (matrix version, SUM version)
+  // is one consistency point (see BatchPin).
+  sum::SumSnapshotPtr batch_snapshot =
+      sums_ != nullptr ? sums_->snapshot() : nullptr;
+  if (pin != nullptr) {
+    pin->fit_epoch = fit_epoch_;
+    pin->matrix_version =
+        (fitted_ && matrix_ != nullptr) ? matrix_->version() : 0;
+    pin->sum_version =
+        batch_snapshot != nullptr ? batch_snapshot->version() : 0;
+  }
+  return batch_snapshot;
+}
+
 std::vector<spa::Result<RecommendResponse>> RecsysEngine::RecommendBatch(
     const std::vector<RecommendRequest>& requests, BatchPin* pin) {
   std::vector<spa::Result<RecommendResponse>> results(
@@ -875,46 +861,16 @@ std::vector<spa::Result<RecommendResponse>> RecsysEngine::RecommendBatch(
   // them under writer-priority locks while the batch waits on the
   // workers — deadlock.)
   std::shared_lock lock(serve_mutex_);
-  // One snapshot for the whole batch: every request sees the same
-  // emotional context (mutually consistent rankings) and the per-
-  // request snapshot acquisition disappears from the hot path. Pinned
-  // *inside* the lock hold so (matrix version, SUM version) is one
-  // consistency point (see BatchPin).
-  const sum::SumSnapshotPtr batch_snapshot =
-      sums_ != nullptr ? sums_->snapshot() : nullptr;
-  if (pin != nullptr) {
-    pin->fit_epoch = fit_epoch_;
-    pin->matrix_version =
-        (fitted_ && matrix_ != nullptr) ? matrix_->version() : 0;
-    pin->sum_version =
-        batch_snapshot != nullptr ? batch_snapshot->version() : 0;
-  }
+  const sum::SumSnapshotPtr batch_snapshot = PinBatch(pin);
   if (requests.empty()) return results;
   ParallelFor(pool, requests.size(),
               [this, &requests, &results, &batch_snapshot](size_t i) {
-                results[i] = RecommendImpl(requests[i], batch_snapshot);
+                RecommendResponse response;
+                spa::Status status =
+                    RecommendIntoImpl(requests[i], batch_snapshot, &response);
+                if (status.ok()) results[i] = std::move(response);
+                else results[i] = std::move(status);
               });
-  return results;
-}
-
-std::vector<spa::Result<RecommendResponse>>
-RecsysEngine::RecommendBatchInline(
-    const std::vector<RecommendRequest>& requests, BatchPin* pin) const {
-  std::vector<spa::Result<RecommendResponse>> results;
-  results.reserve(requests.size());
-  std::shared_lock lock(serve_mutex_);
-  const sum::SumSnapshotPtr batch_snapshot =
-      sums_ != nullptr ? sums_->snapshot() : nullptr;
-  if (pin != nullptr) {
-    pin->fit_epoch = fit_epoch_;
-    pin->matrix_version =
-        (fitted_ && matrix_ != nullptr) ? matrix_->version() : 0;
-    pin->sum_version =
-        batch_snapshot != nullptr ? batch_snapshot->version() : 0;
-  }
-  for (const RecommendRequest& request : requests) {
-    results.push_back(RecommendImpl(request, batch_snapshot));
-  }
   return results;
 }
 
@@ -925,19 +881,11 @@ RecsysEngine::RecommendBatchStaged(
       requests.size(),
       spa::Result<RecommendResponse>(
           spa::Status::Internal("request not served")));
-  // Same consistency discipline as RecommendBatchInline: one shared
-  // hold and one pinned snapshot for the whole micro-batch, so the
-  // BatchPin means the same thing on both paths.
+  // Same consistency discipline as RecommendBatch: one shared hold and
+  // one pinned snapshot for the whole micro-batch, so the BatchPin
+  // means the same thing on both paths.
   std::shared_lock lock(serve_mutex_);
-  const sum::SumSnapshotPtr batch_snapshot =
-      sums_ != nullptr ? sums_->snapshot() : nullptr;
-  if (pin != nullptr) {
-    pin->fit_epoch = fit_epoch_;
-    pin->matrix_version =
-        (fitted_ && matrix_ != nullptr) ? matrix_->version() : 0;
-    pin->sum_version =
-        batch_snapshot != nullptr ? batch_snapshot->version() : 0;
-  }
+  const sum::SumSnapshotPtr batch_snapshot = PinBatch(pin);
   if (requests.empty()) return results;
 
   ItemTimer batch_timer(profiler_, ProfilerItem::kBatchServe);
@@ -946,7 +894,7 @@ RecsysEngine::RecommendBatchStaged(
   // Stage-major execution: every request clears stage N before any
   // request enters stage N+1. A request that failed validation or hit
   // the cache at admission skips the serve stages. Note the one
-  // intended difference from the fused path: duplicate requests in
+  // intended difference from the per-request path: duplicate requests in
   // one batch each compute (all admissions probe the cache before any
   // insert) — deterministically the same bytes, so only the hit/miss
   // counters can differ, never a response.

@@ -31,7 +31,7 @@
 /// time or in thread-pool-parallel batches. This is the seam every
 /// scaling layer (sharding, caching, async) plugs into — the streaming
 /// layer (`recsys/serving_pipeline.h`) drains its admission queue
-/// through `RecommendBatchInline` and its writer lane through
+/// through `RecommendBatchStaged` and its writer lane through
 /// `ApplyInteractions`.
 ///
 /// Emotional context comes from a `sum::SumService`: each request pins
@@ -221,32 +221,6 @@ struct LiveUpdateStats {
   double rewarm_seconds = 0.0;
 };
 
-/// \brief Per-stage serving latency counters (cumulative) — the
-/// compatibility view over the engine's hierarchical `Profiler`
-/// (`profiler()` exposes the full L1/L2/L3 item catalog).
-///
-/// Each stage snapshots one L2 profiler item: count/total/max plus a
-/// log-scale latency histogram and its p50/p95/p99 estimates. The
-/// histogram geometry, the `histogram.total() == count` quiescent
-/// invariant, and the JSON export format are documented in
-/// `docs/METRICS.md`.
-struct StageStats {
-  struct Stage {
-    uint64_t count = 0;
-    double total_seconds = 0.0;
-    double max_seconds = 0.0;
-    /// Latency quantile estimates in seconds (0 when count == 0).
-    double p50_seconds = 0.0;
-    double p95_seconds = 0.0;
-    double p99_seconds = 0.0;
-    /// Full log-scale histogram snapshot (seconds).
-    LogHistogram histogram;
-  };
-  Stage candidate_gen;  ///< hybrid blend (component fan-out)
-  Stage rerank;         ///< emotion re-score + sort + materialize
-  Stage cache_lookup;   ///< response-cache probes (hits and misses)
-};
-
 /// \brief The consistency point a (micro-)batch served against: the
 /// engine's fit epoch, the interaction-matrix version and the global
 /// SUM snapshot version, all captured while the batch held the shared
@@ -320,28 +294,18 @@ class RecsysEngine {
       const std::vector<RecommendRequest>& requests,
       BatchPin* pin = nullptr);
 
-  /// Serves a micro-batch sequentially **in the calling thread** under
-  /// one shared-lock hold and one pinned SUM snapshot — the primitive
-  /// the streaming `ServingPipeline` drains its admission queue with
-  /// (its workers are already parallel, so fanning out again over the
-  /// batch pool would only add contention). Results are byte-identical
-  /// to `RecommendBatch` / sequential `Recommend` on the same requests
-  /// at the same `BatchPin`.
-  std::vector<spa::Result<RecommendResponse>> RecommendBatchInline(
-      const std::vector<RecommendRequest>& requests,
-      BatchPin* pin = nullptr) const;
-
   /// Serves a micro-batch through the **explicit staged dataflow**:
   /// admit → candidate-gen → blend → rerank → explain, each stage run
   /// stage-major across the whole batch (every request finishes stage
-  /// N before any request enters stage N+1). Same locking discipline
-  /// as `RecommendBatchInline` — one shared-lock hold, one pinned SUM
-  /// snapshot — and byte-identical results at the same `BatchPin`: the
-  /// stages compose the exact per-request arithmetic of the fused
-  /// path, in the same order, so parity holds by construction (and is
-  /// pinned by the stage-pipeline differential tests). Overlap between
-  /// micro-batches comes from the streaming pipeline's drain workers,
-  /// which run staged batches concurrently on `common/thread_pool`.
+  /// N before any request enters stage N+1), sequentially in the
+  /// calling thread. Same locking discipline as `RecommendBatch` — one
+  /// shared-lock hold, one pinned SUM snapshot — and byte-identical
+  /// results at the same `BatchPin`: the stages compose the exact
+  /// per-request arithmetic of `RecommendInto`, in the same order, so
+  /// parity holds by construction (and is pinned by the stage-pipeline
+  /// differential tests). Overlap between micro-batches comes from the
+  /// streaming pipeline's drain workers, which run staged batches
+  /// concurrently on `common/thread_pool`.
   /// Stage timings land in the engine profiler as L2 items plus one
   /// L1 `batch.serve` recording per call.
   std::vector<spa::Result<RecommendResponse>> RecommendBatchStaged(
@@ -403,12 +367,6 @@ class RecsysEngine {
   /// Drops every cached response (counters are kept).
   void ClearResponseCache() const;
 
-  /// Per-stage serving latency counters (cumulative since
-  /// construction; candidate-gen and rerank count computed responses,
-  /// cache-lookup counts probes). A projection of `profiler()`'s L2
-  /// items kept for compatibility with existing consumers.
-  StageStats stage_stats() const;
-
   /// The engine's leveled hierarchical profiler (L1 whole-op, L2
   /// per-stage, L3 stage internals). Mutable so recording stays
   /// possible from const serving paths; callers may `AdvanceEpoch()`
@@ -459,7 +417,7 @@ class RecsysEngine {
                    const RecommendResponse& response) const;
 
   /// Per-request admission state threaded through the staged dataflow:
-  /// everything `RecommendImpl` decides before the serve stages run.
+  /// everything `RecommendIntoImpl` decides before the serve stages run.
   struct RequestContext {
     spa::Status status = spa::Status::OK();  ///< admit-time failure
     bool done = false;          ///< failed, or served from cache
@@ -484,16 +442,16 @@ class RecsysEngine {
   void ReleaseScratch(std::unique_ptr<ServeScratch> scratch) const;
 
   /// Validation + fitted check + snapshot/model resolution + cache
-  /// probe — the front half of `RecommendImpl`, shared verbatim by the
-  /// fused and the staged paths. A cache hit is copy-assigned into
-  /// `*hit_out` (and `ctx->done` set). Records `stage.cache_lookup`.
+  /// probe — the front half of `RecommendIntoImpl`, shared verbatim by
+  /// the per-request and the staged paths. A cache hit is copy-assigned
+  /// into `*hit_out` (and `ctx->done` set). Records `stage.cache_lookup`.
   void AdmitRequest(const RecommendRequest& request,
                     const sum::SumSnapshotPtr& batch_snapshot,
                     RequestContext* ctx,
                     RecommendResponse* hit_out) const;
 
-  // The serving dataflow, stage by stage. `Serve` composes the four
-  // sequentially (the fused per-request path); `RecommendBatchStaged`
+  // The serving dataflow, stage by stage. `RecommendIntoImpl` composes
+  // the four sequentially (the per-request path); `RecommendBatchStaged`
   // runs each across a whole micro-batch before the next. Identical
   // per-request arithmetic in identical order either way.
   void ServeCandidates(const RecommendRequest& request,
@@ -516,10 +474,11 @@ class RecsysEngine {
       const sum::SumSnapshotPtr& batch_snapshot,
       RecommendResponse* out) const;
 
-  /// Result-returning wrapper over RecommendIntoImpl (byte-identical).
-  spa::Result<RecommendResponse> RecommendImpl(
-      const RecommendRequest& request,
-      const sum::SumSnapshotPtr& batch_snapshot) const;
+  /// Pins a batch: the caller holds the shared serve lock. Returns the
+  /// SUM snapshot every request of the batch serves against (null
+  /// without a SUM service) and, when `pin` is non-null, fills it with
+  /// the consistency point (fit epoch, matrix version, SUM version).
+  sum::SumSnapshotPtr PinBatch(BatchPin* pin) const;
 
   EngineConfig config_;
   std::unique_ptr<HybridRecommender> hybrid_;

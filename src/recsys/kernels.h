@@ -18,7 +18,7 @@
 /// Every kernel here exists in two implementations — a scalar
 /// reference and an AVX2 body — and the two are **bitwise identical**
 /// for every input, which is what lets the engine's differential
-/// parity gates (staged/inline, cached/recomputed, indexed/lazy,
+/// parity gates (staged/per-request, cached/recomputed, indexed/lazy,
 /// routed/single-node) keep holding on machines with and without AVX2:
 ///
 ///  * reductions fix the lane order: `Dot` accumulates into four

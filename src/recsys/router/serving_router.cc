@@ -259,7 +259,6 @@ RouterStats ServingRouter::stats() const {
     ws.pipeline = node->pipeline()->stats();
     ws.cache = node->engine()->cache_stats();
     ws.live_updates = node->engine()->live_update_stats();
-    ws.stages = node->engine()->stage_stats();
     stats.fallback_served += ws.pipeline.fallback_served;
     stats.expired_drops += ws.pipeline.expired_drops;
     stats.end_to_end.Merge(ws.pipeline.end_to_end);

@@ -168,10 +168,6 @@ struct RouterWorkerStats {
   /// This worker's ApplyInteractions counters — the router tier's
   /// view of cache invalidation and hot-set re-warming per replica.
   LiveUpdateStats live_updates;
-  /// Per-stage serving latencies of this worker's engine (its drain
-  /// workers serve through the staged dataflow; merge the histograms
-  /// across workers to aggregate).
-  StageStats stages;
 };
 
 /// \brief Cumulative router counters plus the per-worker slices.

@@ -485,9 +485,7 @@ size_t ServingPipeline::ExecuteReadBatch(std::vector<Op> batch) {
     requests.push_back(std::move(op.request));
   }
   BatchPin pin;
-  auto results = config_.staged
-                     ? engine_->RecommendBatchStaged(requests, &pin)
-                     : engine_->RecommendBatchInline(requests, &pin);
+  auto results = engine_->RecommendBatchStaged(requests, &pin);
   const auto served = Clock::now();
   const double serve_seconds = SecondsBetween(dequeued, served);
   hist_batch_serve_.Add(serve_seconds);

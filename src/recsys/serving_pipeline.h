@@ -24,12 +24,13 @@
 /// backpressure policy (block / reject-with-status / shed-oldest)
 /// feeds worker threads hosted on a `common/thread_pool`; each worker
 /// drains a run of queued requests as one micro-batch served through
-/// the engine's staged dataflow (`RecsysEngine::RecommendBatchStaged`;
-/// `PipelineConfig::staged = false` falls back to the fused
-/// `RecommendBatchInline`), so every drained batch pins exactly one
-/// SUM snapshot and one interaction-matrix version — the same
-/// consistency contract `RecommendBatch` gives a closed batch — and
-/// concurrent drain workers overlap their stages across micro-batches.
+/// the engine's staged dataflow (`RecsysEngine::RecommendBatchStaged`:
+/// admit → candidates → blend → rerank → explain, stage-major, feeding
+/// the engine profiler's per-stage items), so every drained batch pins
+/// exactly one SUM snapshot and one interaction-matrix version — the
+/// same consistency contract `RecommendBatch` gives a closed batch —
+/// and concurrent drain workers overlap their stages across
+/// micro-batches.
 ///
 /// ## Writer lane
 ///
@@ -137,14 +138,6 @@ struct PipelineConfig {
   BackpressurePolicy policy = BackpressurePolicy::kBlock;
   /// Max requests drained into one micro-batch (one pinned snapshot).
   size_t max_batch = 32;
-  /// Drain micro-batches through the engine's explicit staged
-  /// dataflow (`RecommendBatchStaged`: admit → candidates → blend →
-  /// rerank → explain, stage-major) instead of the fused
-  /// `RecommendBatchInline`. Byte-identical responses either way at
-  /// the same `BatchPin` — the differential harness runs every
-  /// schedule against both claims; staged additionally feeds the
-  /// engine profiler's per-stage items.
-  bool staged = true;
   /// Deadline stamped on reads submitted without an explicit one,
   /// seconds from admission (kDegrade only; 0 = no deadline — such
   /// reads never expire and never degrade, but can still be the

@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
+#include <iterator>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -14,6 +16,14 @@
 
 namespace spa::recsys {
 namespace {
+
+/// Live threads of this process (Linux: one /proc/self/task entry each).
+size_t ProcessThreadCount() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<size_t>(
+      std::distance(std::filesystem::begin(tasks),
+                    std::filesystem::end(tasks)));
+}
 
 /// Fixture: engine over the two-community matrix with emotional
 /// context wired through a SumService, exercising the response cache.
@@ -578,8 +588,8 @@ TEST_F(EngineCacheTest, PinnedSnapshotServesStableRankingsUnderUpdates) {
 
 TEST_F(EngineCacheTest, StageLatencyCountersAccumulate) {
   auto engine = MakeEngine();
-  const StageStats before = engine->stage_stats();
-  EXPECT_EQ(before.candidate_gen.count, 0u);
+  const Profiler& profiler = engine->profiler();
+  EXPECT_EQ(L2Item(profiler, ProfilerItem::kStageCandidateGen).count, 0u);
 
   for (UserId u = 0; u < 3; ++u) {
     RecommendRequest request;
@@ -587,23 +597,22 @@ TEST_F(EngineCacheTest, StageLatencyCountersAccumulate) {
     request.k = 3;
     ASSERT_TRUE(engine->Recommend(request).ok());
   }
-  StageStats stats = engine->stage_stats();
-  EXPECT_EQ(stats.candidate_gen.count, 3u);
-  EXPECT_EQ(stats.rerank.count, 3u);
-  EXPECT_EQ(stats.cache_lookup.count, 3u);
-  EXPECT_GE(stats.candidate_gen.total_seconds,
-            stats.candidate_gen.max_seconds);
-  EXPECT_GT(stats.candidate_gen.max_seconds, 0.0);
+  const ProfilerItemSnapshot candidate_gen =
+      L2Item(profiler, ProfilerItem::kStageCandidateGen);
+  EXPECT_EQ(candidate_gen.count, 3u);
+  EXPECT_EQ(L2Item(profiler, ProfilerItem::kStageRerank).count, 3u);
+  EXPECT_EQ(L2Item(profiler, ProfilerItem::kStageCacheLookup).count, 3u);
+  EXPECT_GE(candidate_gen.total_seconds, candidate_gen.max_seconds);
+  EXPECT_GT(candidate_gen.max_seconds, 0.0);
 
   // A cache hit probes the cache but recomputes nothing.
   RecommendRequest repeat;
   repeat.user = 0;
   repeat.k = 3;
   ASSERT_TRUE(engine->Recommend(repeat).ok());
-  stats = engine->stage_stats();
-  EXPECT_EQ(stats.cache_lookup.count, 4u);
-  EXPECT_EQ(stats.candidate_gen.count, 3u);
-  EXPECT_EQ(stats.rerank.count, 3u);
+  EXPECT_EQ(L2Item(profiler, ProfilerItem::kStageCacheLookup).count, 4u);
+  EXPECT_EQ(L2Item(profiler, ProfilerItem::kStageCandidateGen).count, 3u);
+  EXPECT_EQ(L2Item(profiler, ProfilerItem::kStageRerank).count, 3u);
 }
 
 TEST_F(EngineCacheTest, StageHistogramTotalsMatchStageCounters) {
@@ -619,19 +628,22 @@ TEST_F(EngineCacheTest, StageHistogramTotalsMatchStageCounters) {
     ASSERT_TRUE(engine->Recommend(request).ok());
     ASSERT_TRUE(engine->Recommend(request).ok());  // cache hit
   }
-  const StageStats stats = engine->stage_stats();
-  EXPECT_EQ(stats.candidate_gen.count, 5u);
-  EXPECT_EQ(stats.cache_lookup.count, 10u);
-  for (const StageStats::Stage* stage :
-       {&stats.candidate_gen, &stats.rerank, &stats.cache_lookup}) {
-    EXPECT_EQ(stage->histogram.total(), stage->count);
-    EXPECT_LE(stage->p50_seconds, stage->p95_seconds);
-    EXPECT_LE(stage->p95_seconds, stage->p99_seconds);
-    EXPECT_GT(stage->p50_seconds, 0.0);
+  const Profiler& profiler = engine->profiler();
+  EXPECT_EQ(L2Item(profiler, ProfilerItem::kStageCandidateGen).count, 5u);
+  EXPECT_EQ(L2Item(profiler, ProfilerItem::kStageCacheLookup).count, 10u);
+  for (const ProfilerItem item :
+       {ProfilerItem::kStageCandidateGen, ProfilerItem::kStageRerank,
+        ProfilerItem::kStageCacheLookup}) {
+    const ProfilerItemSnapshot stage = L2Item(profiler, item);
+    EXPECT_EQ(stage.histogram.total(), stage.count) << stage.name;
+    EXPECT_LE(stage.p50_seconds, stage.p95_seconds) << stage.name;
+    EXPECT_LE(stage.p95_seconds, stage.p99_seconds) << stage.name;
+    EXPECT_GT(stage.p50_seconds, 0.0) << stage.name;
     // The max counter cannot sit below the histogram's p99 by more
     // than one bucket width (both saw the same samples).
-    EXPECT_LE(stage->p99_seconds,
-              std::max(stage->max_seconds * 1.34, 1e-7 * 1.34));
+    EXPECT_LE(stage.p99_seconds,
+              std::max(stage.max_seconds * 1.34, 1e-7 * 1.34))
+        << stage.name;
   }
 }
 
@@ -651,19 +663,53 @@ TEST_F(EngineCacheTest, RecommendBatchReportsItsPin) {
   EXPECT_EQ(pin.matrix_version, matrix_.version());
   EXPECT_EQ(pin.sum_version, sums_.version());
 
-  // The inline (sequential, caller-thread) micro-batch primitive is
+  // The staged (stage-major, caller-thread) micro-batch primitive is
   // byte-identical at the same pin.
-  BatchPin inline_pin;
-  const auto inline_responses =
-      engine->RecommendBatchInline(requests, &inline_pin);
-  EXPECT_EQ(inline_pin.matrix_version, pin.matrix_version);
-  EXPECT_EQ(inline_pin.sum_version, pin.sum_version);
-  ASSERT_EQ(inline_responses.size(), responses.size());
+  BatchPin staged_pin;
+  const auto staged_responses =
+      engine->RecommendBatchStaged(requests, &staged_pin);
+  EXPECT_EQ(staged_pin.fit_epoch, pin.fit_epoch);
+  EXPECT_EQ(staged_pin.matrix_version, pin.matrix_version);
+  EXPECT_EQ(staged_pin.sum_version, pin.sum_version);
+  ASSERT_EQ(staged_responses.size(), responses.size());
   for (size_t i = 0; i < responses.size(); ++i) {
     ASSERT_TRUE(responses[i].ok());
-    ASSERT_TRUE(inline_responses[i].ok());
-    ExpectSameItems(responses[i].value(), inline_responses[i].value());
+    ASSERT_TRUE(staged_responses[i].ok());
+    ExpectSameItems(responses[i].value(), staged_responses[i].value());
   }
+}
+
+TEST_F(EngineCacheTest, EmptyBatchesPinWithoutSpawningThePool) {
+  // Both batch entry points pin through one shared helper: an empty
+  // batch still reports the engine's current consistency point, and the
+  // parallel path must not create its worker pool for it.
+  ASSERT_TRUE(
+      sums_.Apply(sum::SumUpdate(0).SetSensibility(Enthusiastic(), 0.5))
+          .ok());
+  EngineConfig config;
+  config.batch_threads = 4;
+  auto engine = MakeEngine(config);
+  const size_t threads_before = ProcessThreadCount();
+
+  BatchPin batch_pin;
+  EXPECT_TRUE(engine->RecommendBatch({}, &batch_pin).empty());
+  EXPECT_EQ(ProcessThreadCount(), threads_before);  // no pool spawned
+  BatchPin staged_pin;
+  EXPECT_TRUE(engine->RecommendBatchStaged({}, &staged_pin).empty());
+
+  for (const BatchPin& pin : {batch_pin, staged_pin}) {
+    EXPECT_EQ(pin.fit_epoch, 1u);
+    EXPECT_EQ(pin.matrix_version, matrix_.version());
+    EXPECT_EQ(pin.sum_version, sums_.version());
+  }
+  EXPECT_GT(staged_pin.sum_version, 0u);
+
+  // A non-empty batch does spawn the pool (the probe is live).
+  RecommendRequest request;
+  request.user = 0;
+  request.k = 3;
+  ASSERT_TRUE(engine->RecommendBatch({request})[0].ok());
+  EXPECT_EQ(ProcessThreadCount(), threads_before + 4);
 }
 
 TEST_F(EngineCacheTest, RecommendBatchPinsOneSnapshotForTheWholeBatch) {

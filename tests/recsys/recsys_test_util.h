@@ -1,6 +1,7 @@
 #ifndef SPA_TESTS_RECSYS_RECSYS_TEST_UTIL_H_
 #define SPA_TESTS_RECSYS_RECSYS_TEST_UTIL_H_
 
+#include "common/profiler.h"
 #include "recsys/interaction_matrix.h"
 #include "recsys/recommender.h"
 
@@ -36,6 +37,17 @@ inline InteractionMatrix MakeTwoCommunityMatrix() {
     }
   }
   return m;
+}
+
+/// The cumulative L2 snapshot of one profiler item (zeroed when the
+/// profiler does not export it at L2).
+inline ProfilerItemSnapshot L2Item(const Profiler& profiler,
+                                   ProfilerItem item) {
+  for (const ProfilerItemSnapshot& s :
+       profiler.Snapshot(ProfilerLevel::kL2).items) {
+    if (s.item == item) return s;
+  }
+  return {};
 }
 
 }  // namespace spa::recsys

@@ -1106,7 +1106,7 @@ TEST(ServingPipelineTest, TsanStressServeWhileStreamingUpdates) {
       (void)pipeline.stats();
       (void)pipeline.queue_depth();
       (void)pipeline.writer_queue_depth();
-      (void)engine->stage_stats();
+      (void)engine->profiler().Snapshot(ProfilerLevel::kL2);
       std::this_thread::yield();
     }
   });

@@ -10,17 +10,17 @@
 #include "gtest/gtest.h"
 #include "recsys/engine.h"
 #include "recsys/knn_cf.h"
-#include "recsys/serving_pipeline.h"
+#include "recsys/recsys_test_util.h"
 #include "sum/sum_service.h"
 
 /// The staged serving dataflow (`RecsysEngine::RecommendBatchStaged`:
 /// admit → candidate-gen → blend → rerank → explain, stage-major
 /// across a micro-batch). The load-bearing claim tested here is
 /// **bitwise parity**: at the same `BatchPin`, the staged path must
-/// reproduce the fused inline path byte-for-byte — every score, every
-/// breakdown field, every error — for every request shape the serving
-/// API admits (explain, exclusions, allowlists, overrides, duplicates,
-/// invalid requests). The TSAN stress case runs under TSAN in CI
+/// reproduce per-request serving (`RecommendBatch`) byte-for-byte —
+/// every score, every breakdown field, every error — for every request
+/// shape the serving API admits (explain, exclusions, allowlists,
+/// overrides, duplicates, invalid requests). The TSAN stress case runs under TSAN in CI
 /// (StagePipelineTest is in the TSAN job's ctest regex).
 
 namespace spa::recsys {
@@ -160,14 +160,14 @@ void ExpectBitwiseEqual(const RecommendResponse& a,
 
 void ExpectSameResults(
     const std::vector<spa::Result<RecommendResponse>>& staged,
-    const std::vector<spa::Result<RecommendResponse>>& fused,
+    const std::vector<spa::Result<RecommendResponse>>& reference,
     const std::string& context) {
-  ASSERT_EQ(staged.size(), fused.size()) << context;
+  ASSERT_EQ(staged.size(), reference.size()) << context;
   for (size_t i = 0; i < staged.size(); ++i) {
     const std::string at = context + " request " + std::to_string(i);
-    ASSERT_EQ(staged[i].ok(), fused[i].ok()) << at;
+    ASSERT_EQ(staged[i].ok(), reference[i].ok()) << at;
     if (!staged[i].ok()) continue;
-    ExpectBitwiseEqual(staged[i].value(), fused[i].value(), at);
+    ExpectBitwiseEqual(staged[i].value(), reference[i].value(), at);
   }
 }
 
@@ -176,35 +176,34 @@ class StagePipelineTest : public ::testing::Test {
   Stack stack_;
 };
 
-TEST_F(StagePipelineTest, StagedMatchesInlineBitwiseOnColdEngines) {
+TEST_F(StagePipelineTest, StagedMatchesBatchBitwiseOnColdEngines) {
   // Two identically-fitted engines, both computing from scratch: the
-  // stage-major batch must reproduce the fused per-request loop
+  // stage-major batch must reproduce the parallel per-request batch
   // byte-for-byte, same pins, same errors.
   auto staged_engine = stack_.MakeEngine(/*cache_capacity=*/0);
-  auto fused_engine = stack_.MakeEngine(/*cache_capacity=*/0);
+  auto batch_engine = stack_.MakeEngine(/*cache_capacity=*/0);
   const auto requests = MakeRequestMix(stack_.sums);
 
-  BatchPin staged_pin, fused_pin;
+  BatchPin staged_pin, batch_pin;
   const auto staged =
       staged_engine->RecommendBatchStaged(requests, &staged_pin);
-  const auto fused =
-      fused_engine->RecommendBatchInline(requests, &fused_pin);
-  ExpectSameResults(staged, fused, "cold");
-  EXPECT_EQ(staged_pin.fit_epoch, fused_pin.fit_epoch);
-  EXPECT_EQ(staged_pin.matrix_version, fused_pin.matrix_version);
-  EXPECT_EQ(staged_pin.sum_version, fused_pin.sum_version);
+  const auto batched = batch_engine->RecommendBatch(requests, &batch_pin);
+  ExpectSameResults(staged, batched, "cold");
+  EXPECT_EQ(staged_pin.fit_epoch, batch_pin.fit_epoch);
+  EXPECT_EQ(staged_pin.matrix_version, batch_pin.matrix_version);
+  EXPECT_EQ(staged_pin.sum_version, batch_pin.sum_version);
 }
 
-TEST_F(StagePipelineTest, StagedMatchesInlineThroughCacheAndUpdates) {
-  // One engine, served in alternating staged/inline rounds across a
-  // live-update boundary: cache hits, recomputes and re-stamped
+TEST_F(StagePipelineTest, StagedMatchesBatchThroughCacheAndUpdates) {
+  // One engine, served in alternating staged/per-request rounds across
+  // a live-update boundary: cache hits, recomputes and re-stamped
   // entries must all produce identical bytes on both paths.
   auto engine = stack_.MakeEngine(/*cache_capacity=*/256);
   const auto requests = MakeRequestMix(stack_.sums);
 
   const auto round1_staged = engine->RecommendBatchStaged(requests);
-  const auto round1_inline = engine->RecommendBatchInline(requests);
-  ExpectSameResults(round1_staged, round1_inline, "warm");
+  const auto round1_batch = engine->RecommendBatch(requests);
+  ExpectSameResults(round1_staged, round1_batch, "warm");
   EXPECT_GT(engine->cache_stats().hits, 0u);
 
   std::vector<Interaction> batch = {{2, 1, 1.0}, {5, 7, 0.5},
@@ -212,8 +211,8 @@ TEST_F(StagePipelineTest, StagedMatchesInlineThroughCacheAndUpdates) {
   ASSERT_TRUE(engine->ApplyInteractions(batch).ok());
 
   const auto round2_staged = engine->RecommendBatchStaged(requests);
-  const auto round2_inline = engine->RecommendBatchInline(requests);
-  ExpectSameResults(round2_staged, round2_inline, "post-update");
+  const auto round2_batch = engine->RecommendBatch(requests);
+  ExpectSameResults(round2_staged, round2_batch, "post-update");
 }
 
 TEST_F(StagePipelineTest, StagedBatchRecordsLeveledProfilerItems) {
@@ -250,57 +249,12 @@ TEST_F(StagePipelineTest, StagedBatchRecordsLeveledProfilerItems) {
         break;
     }
   }
-  // stage_stats() is a projection of the same L2 banks.
-  const StageStats stages = engine->stage_stats();
-  EXPECT_EQ(stages.candidate_gen.count, requests.size());
-  EXPECT_EQ(stages.rerank.count, requests.size());
-}
-
-TEST_F(StagePipelineTest, StagedPipelineMatchesInlinePipeline) {
-  // The same submissions drained by a staged pipeline and an inline
-  // pipeline over identically-fitted stacks: responses must match
-  // bitwise at matching pins.
-  auto staged_engine = stack_.MakeEngine(/*cache_capacity=*/128);
-  auto fused_engine = stack_.MakeEngine(/*cache_capacity=*/128);
-  PipelineConfig staged_config;
-  staged_config.workers = 2;
-  staged_config.staged = true;
-  PipelineConfig fused_config = staged_config;
-  fused_config.staged = false;
-
-  std::vector<StreamTicketPtr> staged_tickets, fused_tickets;
-  {
-    ServingPipeline staged_pipeline(staged_engine.get(), &stack_.sums,
-                                    staged_config);
-    ServingPipeline fused_pipeline(fused_engine.get(), &stack_.sums,
-                                   fused_config);
-    for (size_t u = 0; u < 30; ++u) {
-      RecommendRequest request;
-      request.user = static_cast<UserId>(u % kUsers);
-      request.k = 4;
-      request.explain = (u % 2 == 0);
-      auto staged_ticket = staged_pipeline.Submit(request);
-      auto fused_ticket = fused_pipeline.Submit(request);
-      ASSERT_TRUE(staged_ticket.ok());
-      ASSERT_TRUE(fused_ticket.ok());
-      staged_tickets.push_back(std::move(staged_ticket).value());
-      fused_tickets.push_back(std::move(fused_ticket).value());
-    }
-    for (const auto& ticket : staged_tickets) {
-      EXPECT_EQ(ticket->Wait(), TicketState::kDone);
-    }
-    for (const auto& ticket : fused_tickets) {
-      EXPECT_EQ(ticket->Wait(), TicketState::kDone);
-    }
-  }
-  for (size_t i = 0; i < staged_tickets.size(); ++i) {
-    const auto& staged = staged_tickets[i]->response();
-    const auto& fused = fused_tickets[i]->response();
-    ASSERT_TRUE(staged.ok());
-    ASSERT_TRUE(fused.ok());
-    ExpectBitwiseEqual(staged.value(), fused.value(),
-                       "pipeline request " + std::to_string(i));
-  }
+  // The L2 export carries the same per-stage counts.
+  EXPECT_EQ(
+      L2Item(engine->profiler(), ProfilerItem::kStageCandidateGen).count,
+      requests.size());
+  EXPECT_EQ(L2Item(engine->profiler(), ProfilerItem::kStageRerank).count,
+            requests.size());
 }
 
 TEST_F(StagePipelineTest, TsanStressStagedServeWhileUpdating) {
@@ -347,12 +301,12 @@ TEST_F(StagePipelineTest, TsanStressStagedServeWhileUpdating) {
   for (auto& t : readers) t.join();
   writer.join();
   // Quiescent now: every stage histogram agrees with its counter.
-  const StageStats stages = engine->stage_stats();
-  EXPECT_EQ(stages.candidate_gen.histogram.total(),
-            stages.candidate_gen.count);
-  EXPECT_EQ(stages.rerank.histogram.total(), stages.rerank.count);
-  EXPECT_EQ(stages.cache_lookup.histogram.total(),
-            stages.cache_lookup.count);
+  for (const ProfilerItem item :
+       {ProfilerItem::kStageCandidateGen, ProfilerItem::kStageRerank,
+        ProfilerItem::kStageCacheLookup}) {
+    const ProfilerItemSnapshot stage = L2Item(engine->profiler(), item);
+    EXPECT_EQ(stage.histogram.total(), stage.count) << stage.name;
+  }
 }
 
 }  // namespace
