@@ -138,7 +138,7 @@ int Main(int argc, char** argv) {
   }
 
   // ---- deadline-degraded flash crowd --------------------------------------
-  // One extra cell replays the flash-crowd archetype overloaded (1.5x
+  // One extra cell replays the flash-crowd archetype overloaded (3x
   // the calibrated capacity) against the pipeline backend under
   // kDegrade with a tight per-read deadline: pressed reads must come
   // back from the popularity fallback tier (flagged `degraded`) rather
@@ -177,7 +177,7 @@ int Main(int argc, char** argv) {
         // The whole point of the cell: overload must be answered with
         // degraded service, not silence.
         std::printf("flash_crowd_degrade: no fallback serves under "
-                    "1.5x overload - degradation path not exercised\n");
+                    "3x overload - degradation path not exercised\n");
         parity = false;
       }
       std::printf(

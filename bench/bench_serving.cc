@@ -1347,6 +1347,7 @@ int Main(int argc, char** argv) {
     // leveled L1/L2/L3 item catalog of the cached engine plus the
     // staged-vs-RecommendBatch parity verdict.
     const spa::Profiler& profiler = cached_engine->profiler();
+    constexpr spa::ProfilerLevel kExportLevel = spa::ProfilerLevel::kL3;
     std::fprintf(json,
                  "  \"stages\": {\n"
                  "    \"staged_parity\": %s,\n"
@@ -1354,9 +1355,9 @@ int Main(int argc, char** argv) {
                  "    \"epochs\": %llu,\n"
                  "    \"items\": %s\n  }\n",
                  staged_parity ? "true" : "false",
-                 static_cast<int>(profiler.level()),
+                 static_cast<int>(kExportLevel),
                  static_cast<unsigned long long>(profiler.epochs()),
-                 profiler.ExportItemsJson(spa::ProfilerLevel::kL3, 4)
+                 profiler.ExportItemsJson(kExportLevel, 4)
                      .c_str());
     std::fprintf(json, "}\n");
     std::fclose(json);

@@ -1,7 +1,5 @@
 #include "common/frequency_map.h"
 
-#include <algorithm>
-
 #include "common/hash.h"
 
 namespace spa {
@@ -53,31 +51,6 @@ size_t FrequencyMap::size() const {
     total += shard.counts.size();
   }
   return total;
-}
-
-std::vector<std::pair<uint64_t, double>> FrequencyMap::TopK(size_t k) const {
-  std::vector<std::pair<uint64_t, double>> entries;
-  for (size_t s = 0; s < config_.shards; ++s) {
-    Shard& shard = shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    entries.insert(entries.end(), shard.counts.begin(), shard.counts.end());
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const std::pair<uint64_t, double>& a,
-               const std::pair<uint64_t, double>& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first < b.first;
-            });
-  if (entries.size() > k) entries.resize(k);
-  return entries;
-}
-
-void FrequencyMap::Clear() {
-  for (size_t s = 0; s < config_.shards; ++s) {
-    Shard& shard = shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.counts.clear();
-  }
 }
 
 FrequencyMapStats FrequencyMap::stats() const {

@@ -6,8 +6,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 /// \file
 /// A sharded access-frequency counter for cache tiering: the CPU-side
@@ -28,14 +26,12 @@
 /// key lives in exactly one shard) and of which threads touched it —
 /// for the integral amounts the serving layer uses, floating-point
 /// accumulation is exact, so any interleaving sums to the same value.
-/// `TopK` orders by (count desc, key asc), a total order, so equal
-/// streams produce equal rankings at any shard count. The property
-/// tests in `tests/common/frequency_map_test.cc` pin both claims
+/// The property tests in `tests/common/frequency_map_test.cc` pin this
 /// against a naive single-map reference.
 ///
 /// Thread-safe: keys hash to one of `shards` sub-maps, each behind its
 /// own mutex, so concurrent touches to different keys rarely contend.
-/// `Decay`/`TopK`/`size` sweep the shards one at a time (no global
+/// `Decay`/`size`/`stats` sweep the shards one at a time (no global
 /// lock; a concurrent Touch lands either before or after the sweep
 /// reaches its shard).
 
@@ -43,8 +39,8 @@ namespace spa {
 
 /// \brief Tunables of one frequency map.
 struct FrequencyMapConfig {
-  /// Sub-map count (>= 1). Purely a contention knob: counts and TopK
-  /// are shard-count-invariant.
+  /// Sub-map count (>= 1). Purely a contention knob: counts are
+  /// shard-count-invariant.
   size_t shards = 16;
   /// Multiplier applied to every count by one Decay() epoch.
   double decay_factor = 0.5;
@@ -81,13 +77,6 @@ class FrequencyMap {
 
   /// Live keys across all shards.
   size_t size() const;
-
-  /// The `k` highest-count entries, ordered by (count desc, key asc) —
-  /// a total order, so the result is shard-count-invariant.
-  std::vector<std::pair<uint64_t, double>> TopK(size_t k) const;
-
-  /// Drops every entry (counters are kept).
-  void Clear();
 
   FrequencyMapStats stats() const;
 

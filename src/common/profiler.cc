@@ -46,9 +46,6 @@ ProfilerLevel ProfilerItemLevel(ProfilerItem item) {
   return kItemMeta[idx].level;
 }
 
-Profiler::Profiler(ProfilerLevel level)
-    : level_(static_cast<int>(level)) {}
-
 void Profiler::RecordInto(Bank* bank, uint64_t nanos, double seconds) {
   bank->count.fetch_add(1, std::memory_order_relaxed);
   bank->total_nanos.fetch_add(nanos, std::memory_order_relaxed);
@@ -61,7 +58,6 @@ void Profiler::RecordInto(Bank* bank, uint64_t nanos, double seconds) {
 }
 
 void Profiler::Record(ProfilerItem item, double seconds) {
-  if (!enabled(item)) return;
   const auto nanos = static_cast<uint64_t>(seconds * 1e9);
   Item& slot = items_[static_cast<size_t>(item)];
   RecordInto(&slot.cumulative, nanos, seconds);
@@ -136,7 +132,7 @@ std::string Profiler::ExportJson(ProfilerLevel max_level,
   const std::string pad(static_cast<size_t>(indent), ' ');
   std::string out = "{\n";
   out += pad + StrFormat("  \"level\": %d,\n",
-                         static_cast<int>(level()));
+                         static_cast<int>(max_level));
   out += pad + StrFormat("  \"epochs\": %llu,\n",
                          static_cast<unsigned long long>(epochs()));
   out += pad + "  \"items\": " + ExportItemsJson(max_level, indent + 2) +

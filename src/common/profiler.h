@@ -27,9 +27,9 @@
 /// Every item keeps a lock-free `{count, total, max, LogHistogram}`
 /// accumulator twice: a **cumulative** bank (since construction) and a
 /// **current-epoch** bank that `AdvanceEpoch()` reseals, so consumers
-/// can report both all-time and per-epoch quantiles. `Record` is
-/// level-gated by one relaxed atomic load — items above the configured
-/// level cost a branch and nothing else.
+/// can report both all-time and per-epoch quantiles. Every item is
+/// always recorded; levels only filter what `Snapshot` and the exports
+/// return.
 ///
 /// Thread-safety: `Record` may be called from any number of threads
 /// concurrently (relaxed atomics + the lock-free histogram).
@@ -44,9 +44,9 @@
 
 namespace spa {
 
-/// \brief Profiling granularity. Each level includes the ones below
-/// it: kL3 records everything, kOff records nothing.
-enum class ProfilerLevel : int { kOff = 0, kL1 = 1, kL2 = 2, kL3 = 3 };
+/// \brief Item depth. Each level includes the ones below it: a kL3
+/// snapshot or export carries every item.
+enum class ProfilerLevel : int { kL1 = 1, kL2 = 2, kL3 = 3 };
 
 /// \brief The fixed item catalog. Names and levels are stable API —
 /// `docs/METRICS.md` documents them and the bench exports them; append
@@ -108,26 +108,8 @@ struct ProfilerSnapshot {
 /// \brief The leveled profiler. One instance per engine.
 class Profiler {
  public:
-  explicit Profiler(ProfilerLevel level = ProfilerLevel::kL3);
-
-  ProfilerLevel level() const {
-    return static_cast<ProfilerLevel>(
-        level_.load(std::memory_order_relaxed));
-  }
-  void set_level(ProfilerLevel level) {
-    level_.store(static_cast<int>(level), std::memory_order_relaxed);
-  }
-
-  /// True when `item`'s level is enabled — callers wrap expensive
-  /// timing (extra clock reads) in this check.
-  bool enabled(ProfilerItem item) const {
-    return static_cast<int>(ProfilerItemLevel(item)) <=
-           level_.load(std::memory_order_relaxed);
-  }
-
-  /// Records one duration against `item` (no-op above the configured
-  /// level). Lock-free; updates the cumulative and the current-epoch
-  /// bank.
+  /// Records one duration against `item`. Lock-free; updates the
+  /// cumulative and the current-epoch bank.
   void Record(ProfilerItem item, double seconds);
 
   /// Seals the current epoch: bumps the epoch counter and zeroes the
@@ -151,7 +133,8 @@ class Profiler {
   std::string ExportItemsJson(ProfilerLevel max_level,
                               int indent = 4) const;
 
-  /// Full export object: `{"level", "epochs", "items": [...]}`.
+  /// Full export object: `{"level", "epochs", "items": [...]}`, where
+  /// `level` is `max_level`, the export depth.
   std::string ExportJson(ProfilerLevel max_level, int indent = 2) const;
 
  private:
@@ -171,7 +154,6 @@ class Profiler {
 
   static void RecordInto(Bank* bank, uint64_t nanos, double seconds);
 
-  std::atomic<int> level_;
   std::atomic<uint64_t> epochs_{0};
   std::array<Item, kProfilerItemCount> items_;
 };

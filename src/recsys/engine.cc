@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <unordered_set>
 #include <utility>
 
@@ -29,27 +30,17 @@ uint64_t HashItemSet(const std::unordered_set<ItemId>& items) {
   return acc;
 }
 
-/// Times one profiler item; records on Stop(). When the item's level
-/// is disabled not even the clock is read, keeping the "one branch"
-/// cost promise of EngineConfig::profiler_level.
+/// Times one profiler item from construction; records on Stop().
 class ItemTimer {
  public:
   ItemTimer(Profiler& profiler, ProfilerItem item)
-      : profiler_(profiler),
-        item_(item),
-        enabled_(profiler.enabled(item)) {
-    if (enabled_) start_ = Clock::now();
-  }
-  void Stop() {
-    if (enabled_) profiler_.Record(item_, SecondsSince(start_));
-    enabled_ = false;
-  }
+      : profiler_(profiler), item_(item), start_(Clock::now()) {}
+  void Stop() { profiler_.Record(item_, SecondsSince(start_)); }
 
  private:
   Profiler& profiler_;
   ProfilerItem item_;
-  bool enabled_;
-  Clock::time_point start_{};
+  Clock::time_point start_;
 };
 
 }  // namespace
@@ -126,15 +117,9 @@ RecsysEngine::~RecsysEngine() = default;
 
 RecsysEngine::RecsysEngine(EngineConfig config)
     : config_(config),
-      hybrid_(std::make_unique<HybridRecommender>(
-          HybridConfig{config.component_depth})),
+      hybrid_(std::make_unique<HybridRecommender>(HybridConfig{})),
       reranker_(config.rerank),
-      user_freq_(FrequencyMapConfig{/*shards=*/16, config.cache_decay_factor,
-                                    /*min_count=*/0.5}),
-      item_freq_(FrequencyMapConfig{/*shards=*/16, config.cache_decay_factor,
-                                    /*min_count=*/0.5}),
-      profiler_(config.profiler_level) {
-  SPA_CHECK(config_.rerank_overfetch > 0);
+      user_freq_(FrequencyMapConfig{.decay_factor = kCacheDecayFactor}) {
   SPA_CHECK_MSG(config_.interaction_shards >= 1,
                 "EngineConfig::interaction_shards must be >= 1 (shard "
                 "routing is hash % shards; 0 would be modulo-by-zero)");
@@ -210,14 +195,11 @@ spa::Result<LiveUpdateReport> RecsysEngine::ApplyInteractions(
   // sequential routing pass, so shard counts never change rankings —
   // the determinism tests gate this). We hold the exclusive serve
   // lock, which is exactly ApplyBatch's exclusive-access precondition.
-  const bool want_shard_timing =
-      profiler_.enabled(ProfilerItem::kApplyUserShardGroup);
   ShardedInteractionMatrix::ShardGroupTiming timing;
   ThreadPool* apply_pool =
       live_matrix_->shard_count() > 1 ? EnsurePool() : nullptr;
   const auto apply_start = Clock::now();
-  live_matrix_->ApplyBatch(batch, apply_pool,
-                           want_shard_timing ? &timing : nullptr);
+  live_matrix_->ApplyBatch(batch, apply_pool, &timing);
   report.apply_seconds = SecondsSince(apply_start);
   for (size_t s = 0; s < timing.user_shard_seconds.size(); ++s) {
     if (timing.user_shard_ops[s] == 0) continue;
@@ -270,8 +252,6 @@ spa::Result<LiveUpdateReport> RecsysEngine::ApplyInteractions(
     CacheKey key;
   };
   std::vector<RewarmCandidate> rewarm;
-  const bool want_rewarm = config_.rewarm_limit > 0 &&
-                           config_.response_cache_capacity > 0;
   if (config_.response_cache_capacity > 0) {
     std::lock_guard<std::mutex> cache_lock(cache_mutex_);
     for (auto it = cache_lru_.begin(); it != cache_lru_.end();) {
@@ -281,10 +261,10 @@ spa::Result<LiveUpdateReport> RecsysEngine::ApplyInteractions(
       // its user for *this* batch.
       if (outcome.all_users || affected.contains(it->key.user) ||
           it->matrix_version != pre_version) {
-        if (want_rewarm && it->matrix_version == pre_version) {
+        if (it->matrix_version == pre_version) {
           const double freq =
               user_freq_.Count(static_cast<uint64_t>(it->key.user));
-          if (freq >= config_.rewarm_min_frequency) {
+          if (freq >= kRewarmMinFrequency) {
             rewarm.push_back({freq, std::move(it->key)});
           }
         }
@@ -317,9 +297,7 @@ spa::Result<LiveUpdateReport> RecsysEngine::ApplyInteractions(
                 if (a.key.user != b.key.user) return a.key.user < b.key.user;
                 return a.key.k < b.key.k;
               });
-    if (rewarm.size() > config_.rewarm_limit) {
-      rewarm.resize(config_.rewarm_limit);
-    }
+    if (rewarm.size() > kRewarmLimit) rewarm.resize(kRewarmLimit);
     rewarm_in_progress_ = true;
     std::unordered_set<UserId> rewarmed_users;
     RecommendResponse scratch_response;
@@ -433,14 +411,6 @@ void RecsysEngine::CacheInsert(uint64_t hash,
                                uint64_t sum_user_version,
                                const RecommendResponse& response) const {
   std::lock_guard<std::mutex> lock(cache_mutex_);
-  // Hot-item telemetry: computed (cacheable) responses credit their
-  // surviving items, admission outcome notwithstanding. Re-warm
-  // recomputes do not count as organic accesses.
-  if (!rewarm_in_progress_) {
-    for (const RecommendedItem& item : response.items) {
-      item_freq_.Touch(static_cast<uint64_t>(item.item));
-    }
-  }
   const auto it = cache_index_.find(hash);
   if (it != cache_index_.end()) {
     cache_lru_.erase(it->second);
@@ -451,8 +421,7 @@ void RecsysEngine::CacheInsert(uint64_t hash,
   // one-hit wonders cannot churn the hot set — while ties admit, so
   // uniform traffic degrades to plain LRU (and the LRU tests' exact
   // eviction counts still hold).
-  if (config_.cache_frequency_admission &&
-      cache_lru_.size() >= config_.response_cache_capacity) {
+  if (cache_lru_.size() >= config_.response_cache_capacity) {
     const double newcomer =
         user_freq_.Count(static_cast<uint64_t>(request.user));
     const double victim = user_freq_.Count(
@@ -498,21 +467,13 @@ EngineCacheStats RecsysEngine::cache_stats() const {
 }
 
 void RecsysEngine::MaybeDecayFrequencies() const {
-  if (config_.cache_decay_interval == 0) return;
   const uint64_t lookups =
       lookups_since_decay_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (lookups % config_.cache_decay_interval == 0) {
-    user_freq_.Decay();
-    item_freq_.Decay();
-  }
+  if (lookups % kCacheDecayInterval == 0) user_freq_.Decay();
 }
 
 double RecsysEngine::user_frequency(UserId user) const {
   return user_freq_.Count(static_cast<uint64_t>(user));
-}
-
-double RecsysEngine::item_frequency(ItemId item) const {
-  return item_freq_.Count(static_cast<uint64_t>(item));
 }
 
 FrequencyMapStats RecsysEngine::user_frequency_stats() const {
@@ -695,9 +656,12 @@ spa::Status RecsysEngine::RecommendIntoImpl(
 void RecsysEngine::ServeCandidates(const RecommendRequest& request,
                                    ServeState* state) const {
   // Base candidates, overfetched so the emotional stage has room to
-  // move items into the top k.
+  // move items into the top k. ValidateRequest puts no upper bound on
+  // k, so the product saturates instead of wrapping to a small k.
   state->query.user = request.user;
-  state->query.k = request.k * config_.rerank_overfetch;
+  state->query.k = request.k > SIZE_MAX / kRerankOverfetch
+                       ? SIZE_MAX
+                       : request.k * kRerankOverfetch;
   state->query.exclude_seen = request.exclude_seen;
   state->query.exclude_items =
       request.exclude_items.empty() ? nullptr : &request.exclude_items;
@@ -707,11 +671,8 @@ void RecsysEngine::ServeCandidates(const RecommendRequest& request,
   state->query.workspace = state->workspace;
   ItemTimer timer(profiler_, ProfilerItem::kStageCandidateGen);
   std::vector<double> component_seconds;
-  const bool per_component =
-      profiler_.enabled(ProfilerItem::kCandidateComponent);
-  hybrid_->FetchComponentCandidatesInto(
-      state->query, &state->fetched,
-      per_component ? &component_seconds : nullptr);
+  hybrid_->FetchComponentCandidatesInto(state->query, &state->fetched,
+                                        &component_seconds);
   timer.Stop();
   for (const double seconds : component_seconds) {
     profiler_.Record(ProfilerItem::kCandidateComponent, seconds);

@@ -89,21 +89,19 @@
 /// ## Frequency-aware tiering and re-warming
 ///
 /// The cache is *frequency-tiered* on top of LRU: every cacheable
-/// lookup touches a sharded per-user `FrequencyMap` (and computed
-/// responses touch a per-item map for hot-item telemetry), with
-/// periodic multiplicative decay every `cache_decay_interval`
+/// lookup touches a sharded per-user `FrequencyMap`, whose counts are
+/// multiplied by `kCacheDecayFactor` every `kCacheDecayInterval`
 /// lookups. At capacity, a newcomer is admitted only when its user's
-/// decayed access count is **at least** the LRU victim's
-/// (`cache_frequency_admission`) — strictly-colder one-hit wonders
-/// are rejected (counted as `admission_rejections`) instead of
-/// evicting the hot set, while ties preserve plain LRU behavior.
-/// Admission only ever changes *which* requests are memoized, never
-/// the bytes of any served response.
+/// decayed access count is **at least** the LRU victim's —
+/// strictly-colder one-hit wonders are rejected (counted as
+/// `admission_rejections`) instead of evicting the hot set, while ties
+/// preserve plain LRU behavior. Admission only ever changes *which*
+/// requests are memoized, never the bytes of any served response.
 ///
 /// `ApplyInteractions` additionally **re-warms** the hot set: among
 /// the affected users whose entries it just erased, those with
-/// frequency >= `rewarm_min_frequency` (hottest first, at most
-/// `rewarm_limit` entries) are re-served into the cache at the
+/// frequency >= `kRewarmMinFrequency` (hottest first, at most
+/// `kRewarmLimit` entries) are re-served into the cache at the
 /// post-apply versions *before the exclusive serve lock is
 /// released*, so concurrent readers never observe the invalidation
 /// as a miss. A re-warmed entry is byte-identical to a cold
@@ -124,13 +122,22 @@
 
 namespace spa::recsys {
 
+/// The re-ranker sees `k * kRerankOverfetch` base candidates (saturated
+/// at SIZE_MAX) so emotional alignment has room to move items into the
+/// top k.
+inline constexpr size_t kRerankOverfetch = 3;
+/// Multiplier applied to every user-frequency count per decay epoch.
+inline constexpr double kCacheDecayFactor = 0.5;
+/// Cacheable lookups between user-frequency decay epochs.
+inline constexpr uint64_t kCacheDecayInterval = 4096;
+/// Max cache entries re-warmed per ApplyInteractions.
+inline constexpr size_t kRewarmLimit = 64;
+/// Min decayed user frequency for an invalidated entry to qualify for
+/// re-warming.
+inline constexpr double kRewarmMinFrequency = 2.0;
+
 /// \brief Engine tunables.
 struct EngineConfig {
-  /// Candidates fetched from each hybrid component before blending.
-  size_t component_depth = 100;
-  /// The re-ranker sees `k * rerank_overfetch` base candidates so
-  /// emotional alignment has room to move items into the top k.
-  size_t rerank_overfetch = 3;
   /// Master switch for the emotion-aware stage.
   bool emotion_enabled = true;
   /// Emotion-aware re-ranking parameters.
@@ -139,28 +146,10 @@ struct EngineConfig {
   size_t batch_threads = 0;
   /// Max memoized responses (LRU beyond this; 0 disables the cache).
   size_t response_cache_capacity = 4096;
-  /// Frequency-aware admission: at capacity, reject newcomers whose
-  /// user's decayed access count is strictly below the LRU victim's
-  /// (ties admit, reproducing plain LRU). Off = pure LRU.
-  bool cache_frequency_admission = true;
-  /// Multiplier applied to every frequency count per decay epoch.
-  double cache_decay_factor = 0.5;
-  /// Cacheable lookups between frequency decay epochs (0 = never).
-  uint64_t cache_decay_interval = 4096;
-  /// Max cache entries re-warmed per ApplyInteractions (0 disables
-  /// re-warming).
-  size_t rewarm_limit = 64;
-  /// Min decayed user frequency for an invalidated entry to qualify
-  /// for re-warming.
-  double rewarm_min_frequency = 2.0;
   /// User/item-hash shard count for interaction stores the platform
   /// builds around this engine (`core::Spa` constructs its matrix
   /// with it); 1 reproduces the unsharded layout bit-for-bit.
   size_t interaction_shards = 1;
-  /// Granularity of the engine's hierarchical profiler (L1 whole-op /
-  /// L2 per-stage / L3 stage internals — see `common/profiler.h`).
-  /// Disabled items cost one branch on the serving path.
-  ProfilerLevel profiler_level = ProfilerLevel::kL3;
 };
 
 /// \brief Fit-time index report of one stack component.
@@ -356,10 +345,9 @@ class RecsysEngine {
 
   /// Response-cache counters (cumulative since construction).
   EngineCacheStats cache_stats() const;
-  /// Current decayed access count of one user / one item in the
-  /// cache-tiering frequency maps (0 when untracked).
+  /// Current decayed access count of one user in the cache-tiering
+  /// frequency map (0 when untracked).
   double user_frequency(UserId user) const;
-  double item_frequency(ItemId item) const;
   /// The per-user frequency tier (touches/decay epochs/live keys).
   FrequencyMapStats user_frequency_stats() const;
   /// Number of live cache entries.
@@ -367,10 +355,10 @@ class RecsysEngine {
   /// Drops every cached response (counters are kept).
   void ClearResponseCache() const;
 
-  /// The engine's leveled hierarchical profiler (L1 whole-op, L2
-  /// per-stage, L3 stage internals). Mutable so recording stays
-  /// possible from const serving paths; callers may `AdvanceEpoch()`
-  /// between quiesced measurement windows.
+  /// The engine's hierarchical profiler (L1 whole-op, L2 per-stage,
+  /// L3 stage internals; every item is recorded). Mutable so recording
+  /// stays possible from const serving paths; callers may
+  /// `AdvanceEpoch()` between quiesced measurement windows.
   Profiler& profiler() const { return profiler_; }
 
  private:
@@ -402,8 +390,8 @@ class RecsysEngine {
                           InteractionMatrix* live);
 
   /// Counts one cacheable lookup toward the decay cadence and runs a
-  /// decay epoch on both frequency tiers every
-  /// `cache_decay_interval`-th call.
+  /// decay epoch on the user frequency tier every
+  /// `kCacheDecayInterval`-th call.
   void MaybeDecayFrequencies() const;
 
   /// Copies the cached response into `*out` (capacity-reusing
@@ -510,14 +498,13 @@ class RecsysEngine {
       cache_index_;
   mutable EngineCacheStats cache_stats_;
 
-  /// Frequency tiers backing cache admission and re-warm selection.
-  /// Their shard mutexes are leaves: FrequencyMap never calls back
-  /// into cache_mutex_ or serve_mutex_, so touching them while either
-  /// is held cannot deadlock.
+  /// Frequency tier backing cache admission and re-warm selection.
+  /// Its shard mutexes are leaves: FrequencyMap never calls back into
+  /// cache_mutex_ or serve_mutex_, so touching it while either is held
+  /// cannot deadlock.
   mutable FrequencyMap user_freq_;
-  mutable FrequencyMap item_freq_;
   /// Cacheable lookups since the last decay epoch (drives the
-  /// `cache_decay_interval` cadence).
+  /// `kCacheDecayInterval` cadence).
   mutable std::atomic<uint64_t> lookups_since_decay_{0};
   /// True while ApplyInteractions re-serves hot users under the
   /// exclusive serve lock; suppresses frequency touches so re-warm
@@ -531,7 +518,7 @@ class RecsysEngine {
   /// RecommendFallback under the shared serve lock.
   mutable PopularityRecommender fallback_pop_;
 
-  /// Leveled latency profiler (updated on every serve, including
+  /// Hierarchical latency profiler (updated on every serve, including
   /// cache hits, by every batch worker — lock-free, see
   /// `common/profiler.h`).
   mutable Profiler profiler_;

@@ -26,7 +26,7 @@ TEST(ProfilerTest, ItemNamesAndLevelsAreStable) {
 }
 
 TEST(ProfilerTest, RecordAccumulatesCountTotalAndMax) {
-  Profiler profiler(ProfilerLevel::kL3);
+  Profiler profiler;
   profiler.Record(ProfilerItem::kRequestServe, 0.010);
   profiler.Record(ProfilerItem::kRequestServe, 0.030);
   profiler.Record(ProfilerItem::kRequestServe, 0.020);
@@ -40,47 +40,6 @@ TEST(ProfilerTest, RecordAccumulatesCountTotalAndMax) {
   EXPECT_GT(s.p50_seconds, 0.0);
   EXPECT_LE(s.p50_seconds, s.p95_seconds);
   EXPECT_LE(s.p95_seconds, s.p99_seconds);
-}
-
-TEST(ProfilerTest, LevelGatesRecordingPerItem) {
-  Profiler profiler(ProfilerLevel::kL1);
-  EXPECT_TRUE(profiler.enabled(ProfilerItem::kRequestServe));
-  EXPECT_FALSE(profiler.enabled(ProfilerItem::kStageRerank));
-  EXPECT_FALSE(profiler.enabled(ProfilerItem::kRerankScore));
-
-  profiler.Record(ProfilerItem::kRequestServe, 0.001);
-  profiler.Record(ProfilerItem::kStageRerank, 0.001);   // gated off
-  profiler.Record(ProfilerItem::kRerankScore, 0.001);   // gated off
-
-  const ProfilerSnapshot snap = profiler.Snapshot(ProfilerLevel::kL3);
-  for (const ProfilerItemSnapshot& s : snap.items) {
-    if (s.item == ProfilerItem::kRequestServe) {
-      EXPECT_EQ(s.count, 1u);
-    } else {
-      EXPECT_EQ(s.count, 0u) << s.name;
-    }
-  }
-
-  // Raising the level turns the gated items back on.
-  profiler.set_level(ProfilerLevel::kL3);
-  EXPECT_TRUE(profiler.enabled(ProfilerItem::kRerankScore));
-  profiler.Record(ProfilerItem::kRerankScore, 0.001);
-  const ProfilerSnapshot after = profiler.Snapshot(ProfilerLevel::kL3);
-  for (const ProfilerItemSnapshot& s : after.items) {
-    if (s.item == ProfilerItem::kRerankScore) {
-      EXPECT_EQ(s.count, 1u);
-    }
-  }
-}
-
-TEST(ProfilerTest, OffLevelRecordsNothing) {
-  Profiler profiler(ProfilerLevel::kOff);
-  profiler.Record(ProfilerItem::kRequestServe, 1.0);
-  profiler.Record(ProfilerItem::kStageBlend, 1.0);
-  for (const ProfilerItemSnapshot& s :
-       profiler.Snapshot(ProfilerLevel::kL3).items) {
-    EXPECT_EQ(s.count, 0u) << s.name;
-  }
 }
 
 TEST(ProfilerTest, SnapshotFiltersByMaxLevel) {
@@ -104,7 +63,7 @@ TEST(ProfilerTest, SnapshotFiltersByMaxLevel) {
 }
 
 TEST(ProfilerTest, HistogramTotalMatchesCountAtEveryLevel) {
-  Profiler profiler(ProfilerLevel::kL3);
+  Profiler profiler;
   const std::vector<std::pair<ProfilerItem, size_t>> plan = {
       {ProfilerItem::kRequestServe, 7},
       {ProfilerItem::kBatchServe, 2},
@@ -131,7 +90,7 @@ TEST(ProfilerTest, HistogramTotalMatchesCountAtEveryLevel) {
 }
 
 TEST(ProfilerTest, EpochRolloverResetsEpochBankOnly) {
-  Profiler profiler(ProfilerLevel::kL3);
+  Profiler profiler;
   profiler.Record(ProfilerItem::kStageBlend, 0.002);
   profiler.Record(ProfilerItem::kStageBlend, 0.004);
   EXPECT_EQ(profiler.epochs(), 0u);
@@ -170,11 +129,11 @@ TEST(ProfilerTest, EpochRolloverResetsEpochBankOnly) {
 }
 
 TEST(ProfilerTest, ExportJsonCarriesLeveledItems) {
-  Profiler profiler(ProfilerLevel::kL3);
+  Profiler profiler;
   profiler.Record(ProfilerItem::kRequestServe, 0.001);
   profiler.AdvanceEpoch();
   const std::string l2 = profiler.ExportJson(ProfilerLevel::kL2);
-  EXPECT_NE(l2.find("\"level\": 3"), std::string::npos);
+  EXPECT_NE(l2.find("\"level\": 2"), std::string::npos);  // export depth
   EXPECT_NE(l2.find("\"epochs\": 1"), std::string::npos);
   EXPECT_NE(l2.find("\"request.serve\""), std::string::npos);
   EXPECT_NE(l2.find("\"stage.blend\""), std::string::npos);
@@ -186,7 +145,7 @@ TEST(ProfilerTest, ExportJsonCarriesLeveledItems) {
 }
 
 TEST(ProfilerTest, ConcurrentRecordingLosesNothing) {
-  Profiler profiler(ProfilerLevel::kL3);
+  Profiler profiler;
   constexpr size_t kThreads = 4;
   constexpr size_t kPerThread = 5000;
   std::vector<std::thread> threads;

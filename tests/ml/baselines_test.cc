@@ -3,7 +3,6 @@
 #include "gtest/gtest.h"
 #include "ml/logreg.h"
 #include "ml/naive_bayes.h"
-#include "ml/online.h"
 #include "ml/test_util.h"
 
 namespace spa::ml {
@@ -79,59 +78,6 @@ TEST(NaiveBayesTest, IgnoresUnseenFeaturesAtScoreTime) {
   // Must not crash; returns the prior-based score.
   const double s = model.Score(unseen.view());
   EXPECT_TRUE(std::isfinite(s));
-}
-
-TEST(PerceptronTest, ConvergesOnSeparableData) {
-  const Dataset data = testing::MakeBlobs(400, 4, 6.0, 42);
-  Perceptron model(/*averaged=*/false);
-  for (int epoch = 0; epoch < 5; ++epoch) {
-    for (size_t i = 0; i < data.size(); ++i) {
-      model.Update(data.x.row(i), data.y[i]);
-    }
-  }
-  EXPECT_GE(testing::AccuracyOf(model, data), 0.97);
-  EXPECT_GT(model.mistakes(), 0);
-  EXPECT_EQ(model.updates(), 5 * 400);
-}
-
-TEST(PerceptronTest, AveragedSmoothsPredictions) {
-  const Dataset data = testing::MakeBlobs(300, 4, 3.0, 19);
-  Perceptron averaged(/*averaged=*/true);
-  for (size_t i = 0; i < data.size(); ++i) {
-    averaged.Update(data.x.row(i), data.y[i]);
-  }
-  EXPECT_GE(testing::AccuracyOf(averaged, data), 0.9);
-}
-
-TEST(PassiveAggressiveTest, ConvergesOnSeparableData) {
-  const Dataset data = testing::MakeBlobs(400, 4, 6.0, 42);
-  PassiveAggressive model(1.0);
-  for (int epoch = 0; epoch < 3; ++epoch) {
-    for (size_t i = 0; i < data.size(); ++i) {
-      model.Update(data.x.row(i), data.y[i]);
-    }
-  }
-  EXPECT_GE(testing::AccuracyOf(model, data), 0.97);
-}
-
-TEST(PassiveAggressiveTest, NoUpdateWhenMarginSatisfied) {
-  PassiveAggressive model(1.0);
-  SparseVector x({{0, 1.0}});
-  model.Update(x.view(), 1);  // first update moves the weights
-  const double s1 = model.Score(x.view());
-  // Keep feeding the same example: once margin >= 1, w stops changing.
-  for (int i = 0; i < 10; ++i) model.Update(x.view(), 1);
-  EXPECT_GE(model.Score(x.view()), 1.0 - 1e-12);
-  EXPECT_GE(s1, 0.0);
-}
-
-TEST(OnlineLearnersTest, FeatureSpaceGrowsOnDemand) {
-  PassiveAggressive model(1.0);
-  SparseVector small({{0, 1.0}});
-  model.Update(small.view(), 1);
-  SparseVector big({{99, 1.0}});
-  model.Update(big.view(), -1);
-  EXPECT_LT(model.Score(big.view()), 0.0);
 }
 
 }  // namespace

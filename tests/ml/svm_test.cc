@@ -3,7 +3,6 @@
 #include "gtest/gtest.h"
 #include "ml/metrics.h"
 #include "ml/svm_linear.h"
-#include "ml/svm_smo.h"
 #include "ml/test_util.h"
 
 namespace spa::ml {
@@ -135,71 +134,6 @@ TEST(PegasosSvmTest, PartialTrainGrowsFeatureSpace) {
   Dataset wider = testing::MakeBlobs(50, 6, 5.0, 18);
   ASSERT_TRUE(svm.PartialTrain(wider).ok());
   EXPECT_EQ(svm.weights().size(), 6u);
-}
-
-TEST(SmoSvmTest, RbfSolvesXor) {
-  const Dataset data = testing::MakeXor(200, 21);
-  SmoConfig config;
-  config.kernel.kind = KernelKind::kRbf;
-  config.kernel.gamma = 2.0;
-  config.c = 10.0;
-  SmoSvm svm(config);
-  ASSERT_TRUE(svm.Train(data).ok());
-  EXPECT_GE(testing::AccuracyOf(svm, data), 0.9);
-  EXPECT_GT(svm.support_vector_count(), 0u);
-}
-
-TEST(SmoSvmTest, LinearKernelMatchesLinearSvmOnBlobs) {
-  const Dataset data = testing::MakeBlobs(150, 3, 5.0, 23);
-  SmoConfig config;
-  config.kernel.kind = KernelKind::kLinear;
-  SmoSvm smo(config);
-  LinearSvm dcd;
-  ASSERT_TRUE(smo.Train(data).ok());
-  ASSERT_TRUE(dcd.Train(data).ok());
-  size_t agree = 0;
-  for (size_t i = 0; i < data.size(); ++i) {
-    const auto row = data.x.row(i);
-    if ((smo.Score(row) >= 0) == (dcd.Score(row) >= 0)) ++agree;
-  }
-  EXPECT_GE(static_cast<double>(agree) / static_cast<double>(data.size()),
-            0.98);
-}
-
-TEST(SmoSvmTest, RejectsSingleClassData) {
-  Dataset data;
-  data.x.AppendRow(std::vector<SparseEntry>{{0, 1.0}});
-  data.x.AppendRow(std::vector<SparseEntry>{{0, 2.0}});
-  data.y = {1, 1};
-  SmoSvm svm;
-  EXPECT_EQ(svm.Train(data).code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(SmoSvmTest, PolynomialKernelSeparatesBlobs) {
-  const Dataset data = testing::MakeBlobs(120, 2, 5.0, 29);
-  SmoConfig config;
-  config.kernel.kind = KernelKind::kPolynomial;
-  config.kernel.degree = 2;
-  config.kernel.gamma = 1.0;
-  SmoSvm svm(config);
-  ASSERT_TRUE(svm.Train(data).ok());
-  EXPECT_GE(testing::AccuracyOf(svm, data), 0.95);
-}
-
-TEST(KernelTest, RbfSelfSimilarityIsOne) {
-  SparseVector v({{0, 1.0}, {1, 2.0}});
-  KernelConfig k;
-  k.kind = KernelKind::kRbf;
-  k.gamma = 0.7;
-  EXPECT_NEAR(EvalKernel(k, v.view(), v.view()), 1.0, 1e-12);
-}
-
-TEST(KernelTest, LinearKernelIsDot) {
-  SparseVector a({{0, 1.0}, {1, 2.0}});
-  SparseVector b({{1, 3.0}, {2, 4.0}});
-  KernelConfig k;
-  k.kind = KernelKind::kLinear;
-  EXPECT_DOUBLE_EQ(EvalKernel(k, a.view(), b.view()), 6.0);
 }
 
 // Property sweep: the DCD SVM must stay accurate across C values on

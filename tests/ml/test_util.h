@@ -63,21 +63,6 @@ inline Dataset MakeSparseBinary(size_t n, size_t dims, size_t informative,
   return data;
 }
 
-/// XOR-like dataset in 2D (not linearly separable).
-inline Dataset MakeXor(size_t n, uint64_t seed) {
-  Rng rng(seed);
-  Dataset data;
-  data.x.SetCols(2);
-  for (size_t i = 0; i < n; ++i) {
-    const double x0 = rng.Uniform(-1.0, 1.0);
-    const double x1 = rng.Uniform(-1.0, 1.0);
-    std::vector<SparseEntry> entries = {{0, x0}, {1, x1}};
-    data.x.AppendRow(entries);
-    data.y.push_back((x0 * x1 > 0.0) ? 1 : -1);
-  }
-  return data;
-}
-
 /// Fraction of correct sign predictions.
 template <typename Model>
 double AccuracyOf(const Model& model, const Dataset& data) {

@@ -369,77 +369,33 @@ TEST_F(EngineCacheTest, AdmissionRejectionNeverChangesServedBytes) {
   EXPECT_GT(engine->cache_stats().admission_rejections, 0u);
 }
 
-TEST_F(EngineCacheTest, DisablingFrequencyAdmissionReproducesPlainLru) {
-  EngineConfig config;
-  config.response_cache_capacity = 2;
-  config.cache_frequency_admission = false;
-  auto engine = MakeEngine(config);
-
-  for (int round = 0; round < 5; ++round) {
-    for (UserId u = 0; u < 2; ++u) {
-      RecommendRequest request;
-      request.user = u;
-      request.k = 3;
-      ASSERT_TRUE(engine->Recommend(request).ok());
-    }
-  }
-  // One cold user displaces the LRU hot entry — plain LRU behavior.
-  RecommendRequest cold;
-  cold.user = 10;
-  cold.k = 3;
-  ASSERT_TRUE(engine->Recommend(cold).ok());
-  EXPECT_EQ(engine->cache_stats().admission_rejections, 0u);
-  EXPECT_EQ(engine->cache_stats().capacity_evictions, 1u);
-
-  RecommendRequest hot;
-  hot.user = 0;  // the older of the two hot entries: evicted
-  hot.k = 3;
-  const uint64_t hits = engine->cache_stats().hits;
-  ASSERT_TRUE(engine->Recommend(hot).ok());
-  EXPECT_EQ(engine->cache_stats().hits, hits);  // miss
-}
-
 TEST_F(EngineCacheTest, FrequencyDecayRunsOnTheLookupCadence) {
+  // Decay runs on every kCacheDecayInterval-th cacheable lookup.
+  static_assert(kCacheDecayFactor == 0.5);
+  constexpr double kEpoch = static_cast<double>(kCacheDecayInterval);
   EngineConfig config;
   config.response_cache_capacity = 8;
-  config.cache_decay_interval = 4;  // decay every 4th cacheable lookup
-  config.cache_decay_factor = 0.5;
   auto engine = MakeEngine(config);
 
   RecommendRequest request;
   request.user = 0;
   request.k = 3;
-  for (int i = 0; i < 4; ++i) {
+  for (uint64_t i = 0; i + 1 < kCacheDecayInterval; ++i) {
     ASSERT_TRUE(engine->Recommend(request).ok());
   }
-  // Four touches then one decay epoch: 4 * 0.5.
+  EXPECT_EQ(engine->user_frequency_stats().decay_epochs, 0u);
+  EXPECT_DOUBLE_EQ(engine->user_frequency(0), kEpoch - 1.0);
+  ASSERT_TRUE(engine->Recommend(request).ok());
+  // kCacheDecayInterval touches then one decay epoch: N * 0.5.
   EXPECT_EQ(engine->user_frequency_stats().decay_epochs, 1u);
-  EXPECT_DOUBLE_EQ(engine->user_frequency(0), 2.0);
+  EXPECT_DOUBLE_EQ(engine->user_frequency(0), kEpoch * 0.5);
 
-  for (int i = 0; i < 4; ++i) {
+  for (uint64_t i = 0; i < kCacheDecayInterval; ++i) {
     ASSERT_TRUE(engine->Recommend(request).ok());
   }
   EXPECT_EQ(engine->user_frequency_stats().decay_epochs, 2u);
-  EXPECT_DOUBLE_EQ(engine->user_frequency(0), 3.0);  // (2 + 4) * 0.5
-}
-
-TEST_F(EngineCacheTest, ItemFrequencyTracksComputedResponses) {
-  EngineConfig config;
-  config.response_cache_capacity = 8;
-  auto engine = MakeEngine(config);
-
-  RecommendRequest request;
-  request.user = 0;
-  request.k = 3;
-  const auto first = engine->Recommend(request);
-  ASSERT_TRUE(first.ok());
-  ASSERT_FALSE(first.value().items.empty());
-  const ItemId top = first.value().items[0].item;
-  EXPECT_DOUBLE_EQ(engine->item_frequency(top), 1.0);
-
-  // A cache hit is not a new computed response: item counts hold.
-  ASSERT_TRUE(engine->Recommend(request).ok());
-  EXPECT_DOUBLE_EQ(engine->item_frequency(top), 1.0);
+  // (N * 0.5 + N) * 0.5
+  EXPECT_DOUBLE_EQ(engine->user_frequency(0), (kEpoch * 0.5 + kEpoch) * 0.5);
 }
 
 // ---- popularity fallback tier ---------------------------------------------

@@ -342,43 +342,81 @@ TEST_F(EngineTest, TieBreakIsDeterministic) {
 }
 
 TEST_F(EngineTest, RerankOverfetchWidensEmotionReach) {
-  // With overfetch 1 the emotional stage can only reorder the top-k;
-  // with a deeper overfetch an emotionally aligned long-tail item can
-  // enter the top-k. Both must stay deterministic.
+  // The emotional stage sees the top k * kRerankOverfetch base
+  // candidates: an aligned item ranked inside that window by base score
+  // can enter the top k; one ranked just beyond it cannot.
+  InteractionMatrix ranked;  // item i has 10 - i interactions
+  for (UserId u = 1; u <= 10; ++u) {
+    for (ItemId i = 0; i + u <= 10; ++i) ranked.Add(u, i, 1.0);
+  }
   SetSensibility(0, eit::EmotionalAttribute::kEnthusiastic, 0.9);
-  EngineConfig narrow;
-  narrow.rerank_overfetch = 1;
-  narrow.rerank.beta = 0.6;
-  auto narrow_engine = MakeEngine(narrow);
-  EngineConfig wide;
-  wide.rerank_overfetch = 5;
-  wide.rerank.beta = 0.6;
-  auto wide_engine = MakeEngine(wide);
-
+  constexpr size_t kK = 2;
+  constexpr auto kWindow = static_cast<ItemId>(kK * kRerankOverfetch);
+  static_assert(kWindow < 10, "the aligned items must exist");
   EmotionProfile profile{};
   profile[static_cast<size_t>(
       eit::EmotionalAttribute::kEnthusiastic)] = 1.0;
-  // Item 9 is outside user 0's community: weak base, strong resonance.
-  narrow_engine->SetItemEmotionProfile(9, profile);
-  wide_engine->SetItemEmotionProfile(9, profile);
 
-  RecommendRequest request;
-  request.user = 0;
-  request.k = 2;
-  request.exclude_seen = ExcludeSeen::kNo;
-  const auto narrow_response = narrow_engine->Recommend(request);
-  const auto wide_response = wide_engine->Recommend(request);
-  ASSERT_TRUE(narrow_response.ok());
-  ASSERT_TRUE(wide_response.ok());
-  bool narrow_has_9 = false, wide_has_9 = false;
-  for (const auto& item : narrow_response.value().items) {
-    if (item.item == 9) narrow_has_9 = true;
+  const auto top_k_with_aligned = [&](ItemId aligned) {
+    EngineConfig config;
+    config.rerank.beta = 0.6;
+    RecsysEngine engine(config);
+    engine.AddComponent(std::make_unique<PopularityRecommender>(), 1.0);
+    engine.set_sum_service(&sums_);
+    engine.SetItemEmotionProfile(aligned, profile);
+    EXPECT_TRUE(engine.Fit(ranked).ok());
+    RecommendRequest request;
+    request.user = 0;  // has a SUM model, has seen nothing
+    request.k = kK;
+    const auto response = engine.Recommend(request);
+    EXPECT_TRUE(response.ok());
+    EXPECT_TRUE(response.value().emotion_applied);
+    std::vector<ItemId> items;
+    for (const auto& item : response.value().items) {
+      items.push_back(item.item);
+    }
+    return items;
+  };
+  // Item ids equal base ranks. The last item inside the window is
+  // lifted to the top; the first one beyond it never reaches the
+  // re-ranker, so the top k stays in base order.
+  EXPECT_EQ(top_k_with_aligned(kWindow - 1),
+            (std::vector<ItemId>{kWindow - 1, 0}));
+  EXPECT_EQ(top_k_with_aligned(kWindow), (std::vector<ItemId>{0, 1}));
+}
+
+TEST_F(EngineTest, HugeKSaturatesTheOverfetchInsteadOfWrapping) {
+  // k * kRerankOverfetch overflows size_t for this k; unsaturated it
+  // wraps to 2 and the response shrinks to two items.
+  constexpr size_t kHugeK = 0x5555555555555556ULL;
+  static_assert(kHugeK * kRerankOverfetch < 1000, "product must wrap");
+  SetSensibility(0, eit::EmotionalAttribute::kEnthusiastic, 0.9);
+  auto engine = MakeEngine();
+  EmotionProfile profile{};
+  profile[static_cast<size_t>(
+      eit::EmotionalAttribute::kEnthusiastic)] = 1.0;
+  engine->SetItemEmotionProfile(9, profile);
+
+  // User 0 has a SUM model (emotional stage on); user 1 has none.
+  for (const UserId user : {UserId{0}, UserId{1}}) {
+    RecommendRequest request;
+    request.user = user;
+    request.k = 1000;
+    const auto bounded = engine->Recommend(request);
+    request.k = kHugeK;
+    const auto huge = engine->Recommend(request);
+    ASSERT_TRUE(bounded.ok());
+    ASSERT_TRUE(huge.ok());
+    EXPECT_EQ(huge.value().emotion_applied, user == 0);
+    EXPECT_EQ(bounded.value().emotion_applied, user == 0);
+    ASSERT_GT(bounded.value().items.size(), 2u) << "user " << user;
+    ASSERT_EQ(huge.value().items.size(), bounded.value().items.size())
+        << "user " << user;
+    for (size_t i = 0; i < huge.value().items.size(); ++i) {
+      EXPECT_EQ(huge.value().items[i].item, bounded.value().items[i].item);
+      EXPECT_EQ(huge.value().items[i].score, bounded.value().items[i].score);
+    }
   }
-  for (const auto& item : wide_response.value().items) {
-    if (item.item == 9) wide_has_9 = true;
-  }
-  EXPECT_FALSE(narrow_has_9);
-  EXPECT_TRUE(wide_has_9);
 }
 
 }  // namespace

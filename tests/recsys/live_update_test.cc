@@ -801,7 +801,7 @@ TEST(LiveUpdateEngineTest, OutOfBandStaleEntriesAreNotResurrected) {
 }
 
 TEST(LiveUpdateEngineTest, RewarmedEntriesMatchColdReserveAfterApply) {
-  // A hot user (frequency >= rewarm_min_frequency) whose cache entry
+  // A hot user (frequency >= kRewarmMinFrequency) whose cache entry
   // is invalidated by ApplyInteractions is re-served into the cache
   // before the writer returns. The re-warmed entry must be a cache
   // HIT whose bytes equal a cold re-serve at the post-apply state —
@@ -823,8 +823,8 @@ TEST(LiveUpdateEngineTest, RewarmedEntriesMatchColdReserveAfterApply) {
   RecommendRequest cold;
   cold.user = 3;
   cold.k = 3;
-  // Two serves push user 1 to frequency 2.0 (== the default
-  // rewarm_min_frequency); user 3's single serve stays below it.
+  // Two serves push user 1 to frequency 2.0 (== kRewarmMinFrequency);
+  // user 3's single serve stays below it.
   ASSERT_TRUE(engine->Recommend(hot).ok());
   ASSERT_TRUE(engine->Recommend(hot).ok());
   ASSERT_TRUE(engine->Recommend(cold).ok());
@@ -861,43 +861,52 @@ TEST(LiveUpdateEngineTest, RewarmedEntriesMatchColdReserveAfterApply) {
 }
 
 TEST(LiveUpdateEngineTest, RewarmHonorsLimitAndPrefersHigherFrequency) {
-  // rewarm_limit caps writer-lane work; candidates are taken in
+  // kRewarmLimit caps writer-lane work; candidates are taken in
   // (frequency desc, user asc) order so the hottest users win.
+  // Popularity's refresh marks every user affected, so one apply
+  // invalidates every cached entry.
+  constexpr UserId kUsers = static_cast<UserId>(kRewarmLimit) + 1;
   EngineConfig config;
-  config.response_cache_capacity = 64;
-  config.rewarm_limit = 1;
-  KnnConfig knn;
-  knn.refresh_full_rebuild_fraction = 1.0;
+  config.response_cache_capacity = 2 * (kRewarmLimit + 1);
   auto engine = std::make_unique<RecsysEngine>(config);
-  engine->AddComponent(std::make_unique<UserKnnRecommender>(knn), 0.6);
-  engine->AddComponent(std::make_unique<ItemKnnRecommender>(knn), 0.4);
-  InteractionMatrix matrix = MakeTwoCommunityMatrix();
+  engine->AddComponent(std::make_unique<PopularityRecommender>(), 1.0);
+  InteractionMatrix matrix;
+  for (UserId u = 0; u < kUsers; ++u) {
+    matrix.Add(u, u % 7, 1.0);
+    matrix.Add(u, 7 + u % 5, 1.0);
+  }
   ASSERT_TRUE(engine->Fit(&matrix).ok());
 
-  RecommendRequest hotter;
-  hotter.user = 1;
-  hotter.k = 3;
-  RecommendRequest warm;
-  warm.user = 2;
-  warm.k = 3;
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(engine->Recommend(hotter).ok());
-  for (int i = 0; i < 2; ++i) ASSERT_TRUE(engine->Recommend(warm).ok());
-  EXPECT_EQ(engine->user_frequency(1), 3.0);
-  EXPECT_EQ(engine->user_frequency(2), 2.0);
+  // Every user is eligible (frequency >= kRewarmMinFrequency). User 0,
+  // the coldest, also has the lowest id: a user-only order would keep
+  // it, the frequency order must not.
+  const auto serve = [&engine](UserId user) {
+    RecommendRequest request;
+    request.user = user;
+    request.k = 3;
+    ASSERT_TRUE(engine->Recommend(request).ok());
+  };
+  for (int i = 0; i < 2; ++i) serve(0);
+  for (UserId u = 1; u < kUsers; ++u) {
+    for (int i = 0; i < 3; ++i) serve(u);
+  }
+  EXPECT_EQ(engine->user_frequency(0), kRewarmMinFrequency);
+  EXPECT_EQ(engine->user_frequency(kUsers - 1), 3.0);
   const uint64_t hits_before = engine->cache_stats().hits;
 
-  // Both users are eligible (frequency >= 2.0) but the limit admits
-  // only the hotter one.
   const auto report = engine->ApplyInteractions({{/*user=*/0, 2, 1.0}});
   ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report.value().cache_entries_invalidated, 2u);
-  EXPECT_EQ(report.value().users_rewarmed, 1u);
-  EXPECT_EQ(report.value().entries_rewarmed, 1u);
+  EXPECT_EQ(report.value().cache_entries_invalidated,
+            static_cast<size_t>(kUsers));
+  EXPECT_EQ(report.value().users_rewarmed, kRewarmLimit);
+  EXPECT_EQ(report.value().entries_rewarmed, kRewarmLimit);
 
-  ASSERT_TRUE(engine->Recommend(hotter).ok());
-  EXPECT_EQ(engine->cache_stats().hits, hits_before + 1);  // re-warmed
-  ASSERT_TRUE(engine->Recommend(warm).ok());
-  EXPECT_EQ(engine->cache_stats().hits, hits_before + 1);  // shed by limit
+  for (UserId u = 1; u < kUsers; ++u) serve(u);
+  EXPECT_EQ(engine->cache_stats().hits,
+            hits_before + kRewarmLimit);  // all re-warmed
+  serve(0);
+  EXPECT_EQ(engine->cache_stats().hits,
+            hits_before + kRewarmLimit);  // shed by the limit
 }
 
 TEST(LiveUpdateEngineTest, ConstFitRejectsApplyInteractions) {

@@ -1,10 +1,8 @@
 #include <memory>
 
-#include "common/rng.h"
 #include "gtest/gtest.h"
 #include "recsys/content_based.h"
 #include "recsys/emotion_aware.h"
-#include "recsys/evaluator.h"
 #include "recsys/hybrid.h"
 #include "recsys/knn_cf.h"
 #include "recsys/popularity.h"
@@ -315,58 +313,6 @@ TEST_F(EmotionRerankTest, NoSensibilityLeavesOrderIntact) {
   std::vector<Scored> base = {{2, 1.0}, {1, 0.5}};
   const auto reranked = reranker.Rerank(model_, base);
   EXPECT_EQ(reranked[0].item, 2);
-}
-
-TEST(EvaluatorTest, PerfectRecommenderScoresOne) {
-  const InteractionMatrix m = MakeTwoCommunityMatrix();
-  UserKnnRecommender rec;
-  ASSERT_TRUE(rec.Fit(m).ok());
-  RelevanceSets held_out;
-  held_out[0] = {4};  // the item user 0 is missing
-  held_out[5] = {9};
-  const TopKMetrics metrics = EvaluateTopK(rec, held_out, 1);
-  EXPECT_DOUBLE_EQ(metrics.precision, 1.0);
-  EXPECT_DOUBLE_EQ(metrics.recall, 1.0);
-  EXPECT_DOUBLE_EQ(metrics.ndcg, 1.0);
-  EXPECT_DOUBLE_EQ(metrics.hit_rate, 1.0);
-  EXPECT_EQ(metrics.users_evaluated, 2u);
-}
-
-TEST(EvaluatorTest, EmptyHeldOutSkipped) {
-  const InteractionMatrix m = MakeTwoCommunityMatrix();
-  PopularityRecommender rec;
-  ASSERT_TRUE(rec.Fit(m).ok());
-  RelevanceSets held_out;
-  held_out[0] = {};
-  const TopKMetrics metrics = EvaluateTopK(rec, held_out, 3);
-  EXPECT_EQ(metrics.users_evaluated, 0u);
-}
-
-TEST(EvaluatorTest, RandomVsOracleOrdering) {
-  // An oracle that knows the held-out item must beat popularity.
-  Rng rng(7);
-  InteractionMatrix train;
-  RelevanceSets held_out;
-  for (UserId u = 0; u < 60; ++u) {
-    const ItemId community_base = (u % 2 == 0) ? 0 : 30;
-    for (int j = 0; j < 8; ++j) {
-      const ItemId item = community_base +
-                          static_cast<ItemId>(rng.UniformInt(0, 29));
-      train.Add(u, item, 1.0);
-    }
-    held_out[u] = {community_base +
-                   static_cast<ItemId>(rng.UniformInt(0, 29))};
-    // Held-out items the user already saw do not count; drop those.
-    if (train.Seen(u, *held_out[u].begin())) held_out.erase(u);
-  }
-  UserKnnRecommender knn;
-  PopularityRecommender pop;
-  ASSERT_TRUE(knn.Fit(train).ok());
-  ASSERT_TRUE(pop.Fit(train).ok());
-  const TopKMetrics knn_metrics = EvaluateTopK(knn, held_out, 10);
-  const TopKMetrics pop_metrics = EvaluateTopK(pop, held_out, 10);
-  // Community structure: CF should beat global popularity on recall.
-  EXPECT_GT(knn_metrics.recall, pop_metrics.recall * 0.9);
 }
 
 }  // namespace
