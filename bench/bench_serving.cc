@@ -682,22 +682,13 @@ struct RouterPoint {
   double create_seconds = 0.0;  ///< replica bootstrap (replay + fit)
   double fanout_ms = 0.0;       ///< one batch fanned to every replica
   double serve_rps = 0.0;       ///< closed-loop wall-clock (bench host)
-  /// Deployment capacity: responses / busiest replica's exact serve
-  /// busy time. With one core per worker node (the topology the
-  /// router tier targets — in-process workers stand in for separate
-  /// processes), wall-clock throughput converges to this number; on a
-  /// core-starved bench host the workers time-slice one core and
-  /// `serve_rps` cannot show the scaling, while the busy-time bound
-  /// still can.
-  double capacity_rps = 0.0;
-  double busiest_share = 0.0;  ///< busiest replica busy / total busy
-  double speedup = 1.0;        ///< capacity vs the 1-worker deployment
+  double speedup = 1.0;         ///< serve_rps vs the 1-worker deployment
   bool parity = true;
 };
 
 struct RouterResult {
   bool parity = true;
-  double scaling_4x = 0.0;  ///< 4-worker capacity / 1-worker capacity
+  double scaling_4x = 0.0;  ///< 4-worker serve_rps / 1-worker serve_rps
   std::vector<RouterPoint> points;
 };
 
@@ -880,31 +871,15 @@ RouterResult RunRouterScenario(size_t users, size_t items, size_t k,
     if (!SameResults(routed, expected)) point.parity = false;
     if (!point.parity) result.parity = false;
 
-    // Capacity from exact per-replica busy time: the deployment is
-    // bound by its busiest replica, not by how many cores the bench
-    // host happens to have.
-    double busiest = 0.0;
-    double total_busy = 0.0;
-    for (const recsys::RouterWorkerStats& ws :
-         router->stats().workers) {
-      busiest = std::max(busiest, ws.pipeline.serve_busy_seconds);
-      total_busy += ws.pipeline.serve_busy_seconds;
-    }
-    if (busiest > 0.0) {
-      point.capacity_rps =
-          static_cast<double>(tickets.size()) / busiest;
-      point.busiest_share = busiest / total_busy;
-    }
+    // Wall clock on the bench host: the speedup is bounded by its
+    // core count, so a single-core host shows ~1x by construction.
     if (!result.points.empty()) {
-      point.speedup =
-          point.capacity_rps / result.points.front().capacity_rps;
+      point.speedup = point.serve_rps / result.points.front().serve_rps;
     }
     result.points.push_back(point);
-    std::printf("router x%zu:         %8.0f req/s wall | capacity "
-                "%8.0f req/s | speedup %5.2fx | busiest %4.2f | "
+    std::printf("router x%zu:         %8.0f req/s wall | speedup %5.2fx | "
                 "bootstrap %.3fs | fanout %7.3f ms | parity %s\n",
-                point.workers, point.serve_rps, point.capacity_rps,
-                point.speedup, point.busiest_share,
+                point.workers, point.serve_rps, point.speedup,
                 point.create_seconds, point.fanout_ms,
                 point.parity ? "OK" : "MISMATCH");
   }
@@ -1333,12 +1308,10 @@ int Main(int argc, char** argv) {
       const RouterPoint& p = router_result.points[i];
       std::fprintf(json,
                    "      {\"workers\": %zu, \"serve_rps\": %.1f, "
-                   "\"capacity_rps\": %.1f, \"speedup\": %.3f, "
-                   "\"busiest_share\": %.4f, "
-                   "\"create_seconds\": %.4f, "
+                   "\"speedup\": %.3f, \"create_seconds\": %.4f, "
                    "\"fanout_ms\": %.4f, \"parity\": %s}%s\n",
-                   p.workers, p.serve_rps, p.capacity_rps, p.speedup,
-                   p.busiest_share, p.create_seconds, p.fanout_ms,
+                   p.workers, p.serve_rps, p.speedup, p.create_seconds,
+                   p.fanout_ms,
                    p.parity ? "true" : "false",
                    i + 1 < router_result.points.size() ? "," : "");
     }

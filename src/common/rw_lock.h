@@ -5,8 +5,8 @@
 #include <mutex>
 
 /// \file
-/// Writer-priority reader/writer lock. `std::shared_mutex` leaves the
-/// reader/writer preference to the platform, and glibc's default
+/// Writer-priority reader/writer lock. `std::shared_mutex` lets the
+/// platform pick the reader/writer preference, and glibc's default
 /// prefers readers — under continuous read traffic (exactly what a
 /// serving engine sees) a writer can wait unboundedly. Live updates
 /// need bounded latency: once a writer announces itself, new readers

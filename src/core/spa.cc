@@ -311,9 +311,9 @@ Spa::MakeServingRouter(recsys::RouterConfig config) {
   config.engine.rerank = config_.rerank;
   config.engine.emotion_enabled = config_.include_emotional_features;
   if (!config.stack_builder) {
-    // Self-contained copies: the router (and any late-joining worker)
-    // must be able to rebuild the stack after the platform's catalogs
-    // moved on, and must build the *same* stack every time.
+    // Self-contained copies: the router keeps its config for its whole
+    // lifetime, independent of the platform's catalogs, and every
+    // worker must build the *same* stack.
     auto features = item_features_;
     auto profiles = emotion_profiles_;
     config.stack_builder = [features = std::move(features),

@@ -499,7 +499,7 @@ class RecsysEngine {
   mutable EngineCacheStats cache_stats_;
 
   /// Frequency tier backing cache admission and re-warm selection.
-  /// Its shard mutexes are leaves: FrequencyMap never calls back into
+  /// Its shard mutexes are leaf locks: FrequencyMap never calls back into
   /// cache_mutex_ or serve_mutex_, so touching it while either is held
   /// cannot deadlock.
   mutable FrequencyMap user_freq_;

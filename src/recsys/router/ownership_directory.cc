@@ -1,18 +1,16 @@
 #include "recsys/router/ownership_directory.h"
 
-#include <algorithm>
-#include <mutex>
-
 #include "common/check.h"
 #include "common/hash.h"
 
 namespace spa::recsys {
 
-OwnershipDirectory::OwnershipDirectory(DirectoryConfig config)
-    : config_(config) {
-  SPA_CHECK_MSG(config_.virtual_shards >= 1,
-                "ownership directory needs >= 1 virtual shard");
-  owner_of_.assign(config_.virtual_shards, kNoWorker);
+OwnershipDirectory::OwnershipDirectory(size_t workers) {
+  SPA_CHECK_MSG(workers >= 1, "ownership directory needs >= 1 worker");
+  owner_of_.resize(kVirtualShards);
+  for (uint32_t shard = 0; shard < kVirtualShards; ++shard) {
+    owner_of_[shard] = WinnerOf(shard, workers);
+  }
 }
 
 uint64_t OwnershipDirectory::RendezvousWeight(uint32_t shard,
@@ -25,14 +23,13 @@ uint64_t OwnershipDirectory::RendezvousWeight(uint32_t shard,
                                static_cast<uint64_t>(worker)));
 }
 
-WorkerId OwnershipDirectory::WinnerOf(
-    uint32_t shard, const std::vector<WorkerId>& members) {
-  WorkerId best = kNoWorker;
-  uint64_t best_weight = 0;
-  for (WorkerId w : members) {
+WorkerId OwnershipDirectory::WinnerOf(uint32_t shard, size_t workers) {
+  WorkerId best = 0;
+  uint64_t best_weight = RendezvousWeight(shard, 0);
+  for (WorkerId w = 1; w < workers; ++w) {
     const uint64_t weight = RendezvousWeight(shard, w);
     // Strict > with ascending iteration = smaller id wins ties.
-    if (best == kNoWorker || weight > best_weight) {
+    if (weight > best_weight) {
       best = w;
       best_weight = weight;
     }
@@ -40,87 +37,27 @@ WorkerId OwnershipDirectory::WinnerOf(
   return best;
 }
 
-void OwnershipDirectory::Reassign(const std::vector<WorkerId>& members,
-                                  std::vector<ShardMove>* moves) {
-  for (uint32_t shard = 0; shard < owner_of_.size(); ++shard) {
-    const WorkerId next = WinnerOf(shard, members);
-    if (next != owner_of_[shard]) {
-      moves->push_back(ShardMove{shard, owner_of_[shard], next});
-      owner_of_[shard] = next;
-    }
-  }
-}
-
-spa::Result<HandoffPlan> OwnershipDirectory::AddWorker(WorkerId worker) {
-  if (worker == kNoWorker) {
-    return spa::Status::InvalidArgument(
-        "worker id is the kNoWorker sentinel");
-  }
-  std::unique_lock lock(mu_);
-  auto it = std::lower_bound(members_.begin(), members_.end(), worker);
-  if (it != members_.end() && *it == worker) {
-    return spa::Status::AlreadyExists("worker already a member");
-  }
-  members_.insert(it, worker);
-  HandoffPlan plan;
-  plan.directory_version = ++version_;
-  Reassign(members_, &plan.moves);
-  return plan;
-}
-
-spa::Result<HandoffPlan> OwnershipDirectory::RemoveWorker(
-    WorkerId worker) {
-  std::unique_lock lock(mu_);
-  auto it = std::lower_bound(members_.begin(), members_.end(), worker);
-  if (it == members_.end() || *it != worker) {
-    return spa::Status::NotFound("worker is not a member");
-  }
-  members_.erase(it);
-  HandoffPlan plan;
-  plan.directory_version = ++version_;
-  Reassign(members_, &plan.moves);
-  return plan;
-}
-
 uint32_t OwnershipDirectory::ShardOf(UserId user) const {
   return static_cast<uint32_t>(SplitMix64(static_cast<uint64_t>(user)) %
-                               config_.virtual_shards);
+                               kVirtualShards);
 }
 
 WorkerId OwnershipDirectory::OwnerOf(UserId user) const {
-  return OwnerOfShard(ShardOf(user));
+  return owner_of_[ShardOf(user)];
 }
 
 WorkerId OwnershipDirectory::OwnerOfShard(uint32_t shard) const {
-  SPA_CHECK_MSG(shard < config_.virtual_shards,
-                "shard outside the directory ring");
-  std::shared_lock lock(mu_);
+  SPA_CHECK_MSG(shard < kVirtualShards, "shard outside the directory ring");
   return owner_of_[shard];
-}
-
-std::vector<WorkerId> OwnershipDirectory::workers() const {
-  std::shared_lock lock(mu_);
-  return members_;
-}
-
-size_t OwnershipDirectory::worker_count() const {
-  std::shared_lock lock(mu_);
-  return members_.size();
 }
 
 std::vector<uint32_t> OwnershipDirectory::ShardsOwnedBy(
     WorkerId worker) const {
-  std::shared_lock lock(mu_);
   std::vector<uint32_t> owned;
-  for (uint32_t shard = 0; shard < owner_of_.size(); ++shard) {
+  for (uint32_t shard = 0; shard < kVirtualShards; ++shard) {
     if (owner_of_[shard] == worker) owned.push_back(shard);
   }
   return owned;
-}
-
-uint64_t OwnershipDirectory::version() const {
-  std::shared_lock lock(mu_);
-  return version_;
 }
 
 }  // namespace spa::recsys

@@ -2,128 +2,74 @@
 #define SPA_RECSYS_ROUTER_OWNERSHIP_DIRECTORY_H_
 
 #include <cstdint>
-#include <shared_mutex>
 #include <vector>
 
-#include "common/status.h"
 #include "recsys/interaction_matrix.h"
 
 /// \file
 /// The "who owns user X" component of the router tier. Users are first
 /// folded onto a fixed ring of *virtual shards* (`SplitMix64(user) %
-/// virtual_shards` — the same mix every other shard route in the
+/// kVirtualShards` — the same mix every other shard route in the
 /// codebase uses, so the mapping is identical across processes and
 /// platforms; see the golden-value contract in
 /// `tests/common/hash_test.cc`), and each virtual shard is assigned to
-/// one worker by rendezvous (highest-random-weight) hashing over the
-/// current member set.
+/// one of the workers `0..workers-1` by rendezvous (highest-random-
+/// weight) hashing.
 ///
-/// Why rendezvous instead of `shard % workers`: the assignment is a
-/// pure function of (shard, member set), so
-///  * every instance that has seen the same membership history — in
-///    fact, merely the same current membership — computes the same
-///    table, with no state to replicate;
-///  * a worker joining steals only the shards it now wins (about
-///    1/(N+1) of the ring) and a worker leaving redistributes only its
-///    own shards; no unrelated shard ever moves. `AddWorker` /
-///    `RemoveWorker` return the exact `HandoffPlan` so the router can
-///    hand shard groups over deterministically.
+/// The owner table is computed once, at construction, and never
+/// changes: it is a pure function of (shard, worker count), so every
+/// instance built for the same worker count computes the same table
+/// with no state to replicate. Rendezvous hashing (rather than
+/// `shard % workers`) keeps the assignment a stable wire format should
+/// membership ever become elastic: a worker joining would win only
+/// about 1/(N+1) of the ring and no unrelated shard would move.
 ///
-/// The directory is membership + arithmetic only: it knows nothing
-/// about matrices or engines. Thread-safe (readers take a shared lock;
-/// membership changes the exclusive side).
+/// The directory is arithmetic only: it knows nothing about matrices
+/// or engines. Immutable after construction, so thread-safe without a
+/// lock.
 
 namespace spa::recsys {
 
-/// Stable identity of one worker node. Ids are never reused within a
-/// router's lifetime, so a plan's `from`/`to` are unambiguous.
+/// Identity of one worker node: its index in `0..workers-1`.
 using WorkerId = uint32_t;
 
-/// Sentinel for "no worker" (empty membership).
-inline constexpr WorkerId kNoWorker = static_cast<WorkerId>(-1);
+/// Virtual shards on the ring. The table is one WorkerId per shard, so
+/// there is no reason to be stingy: more shards = smoother balance.
+inline constexpr size_t kVirtualShards = 128;
 
-/// \brief Directory tunables.
-struct DirectoryConfig {
-  /// Virtual shards on the ring. More shards = smoother balance and
-  /// finer-grained handoff; the table is one WorkerId per shard, so
-  /// there is no reason to be stingy. Must be >= 1 (SPA_CHECK).
-  size_t virtual_shards = 128;
-};
-
-/// \brief One shard changing hands in a membership change.
-struct ShardMove {
-  uint32_t shard = 0;
-  WorkerId from = kNoWorker;  ///< kNoWorker on first assignment
-  WorkerId to = kNoWorker;    ///< kNoWorker when membership empties
-};
-
-/// \brief The deterministic delta of one AddWorker/RemoveWorker.
-struct HandoffPlan {
-  /// Directory version after the change (bumped once per change).
-  uint64_t directory_version = 0;
-  /// Every shard whose owner changed, ascending by shard.
-  std::vector<ShardMove> moves;
-};
-
-/// \brief Consistent user -> worker resolution under membership churn.
+/// \brief Fixed user -> worker resolution.
 class OwnershipDirectory {
  public:
-  explicit OwnershipDirectory(DirectoryConfig config = {});
+  /// Assigns every virtual shard to one of `workers` members
+  /// (>= 1, SPA_CHECK).
+  explicit OwnershipDirectory(size_t workers);
 
   OwnershipDirectory(const OwnershipDirectory&) = delete;
   OwnershipDirectory& operator=(const OwnershipDirectory&) = delete;
 
-  // ---- membership --------------------------------------------------------
-  /// Admits `worker` and reassigns exactly the shards it wins. Errors:
-  /// AlreadyExists (member), InvalidArgument (kNoWorker).
-  spa::Result<HandoffPlan> AddWorker(WorkerId worker);
-
-  /// Retires `worker` and redistributes exactly its shards among the
-  /// remaining members. Errors: NotFound (not a member).
-  spa::Result<HandoffPlan> RemoveWorker(WorkerId worker);
-
-  // ---- resolution --------------------------------------------------------
   /// The virtual shard `user` folds onto. Pure arithmetic; identical
-  /// across every directory built with the same `virtual_shards`.
+  /// across every directory.
   uint32_t ShardOf(UserId user) const;
 
-  /// The worker owning `user` (kNoWorker with empty membership).
+  /// The worker owning `user`.
   WorkerId OwnerOf(UserId user) const;
 
-  /// The worker owning a virtual shard (kNoWorker when empty).
+  /// The worker owning a virtual shard.
   WorkerId OwnerOfShard(uint32_t shard) const;
 
-  // ---- introspection -----------------------------------------------------
-  /// Current members, ascending.
-  std::vector<WorkerId> workers() const;
-  size_t worker_count() const;
   /// Shards owned by `worker`, ascending (empty for non-members).
   std::vector<uint32_t> ShardsOwnedBy(WorkerId worker) const;
-  /// Monotonic membership-change counter (0 = never changed).
-  uint64_t version() const;
-  const DirectoryConfig& config() const { return config_; }
 
   /// The rendezvous weight of (shard, worker) — exposed so tests can
   /// pin the assignment arithmetic itself, not just its consequences.
   static uint64_t RendezvousWeight(uint32_t shard, WorkerId worker);
 
  private:
-  /// Owner of `shard` under `members` (ascending): the member with the
-  /// highest rendezvous weight, smaller id on ties. Pure function.
-  static WorkerId WinnerOf(uint32_t shard,
-                           const std::vector<WorkerId>& members);
+  /// Owner of `shard` among `0..workers-1`: the member with the highest
+  /// rendezvous weight, smaller id on ties. Pure function.
+  static WorkerId WinnerOf(uint32_t shard, size_t workers);
 
-  /// Recomputes the whole table for `members` and appends every owner
-  /// change to `moves`.
-  void Reassign(const std::vector<WorkerId>& members,
-                std::vector<ShardMove>* moves);
-
-  DirectoryConfig config_;
-
-  mutable std::shared_mutex mu_;
-  std::vector<WorkerId> members_;       ///< ascending
-  std::vector<WorkerId> owner_of_;      ///< shard -> worker
-  uint64_t version_ = 0;
+  std::vector<WorkerId> owner_of_;  ///< shard -> worker
 };
 
 }  // namespace spa::recsys

@@ -1,7 +1,5 @@
 #include "recsys/router/serving_router.h"
 
-#include <algorithm>
-#include <mutex>
 #include <utility>
 
 #include "common/check.h"
@@ -12,12 +10,12 @@ namespace spa::recsys {
 
 WorkerNode::WorkerNode(WorkerId id, const RouterConfig& config,
                        sum::SumService* sums,
-                       const std::vector<Interaction>& replay_log)
+                       const std::vector<Interaction>& bootstrap)
     : id_(id), matrix_(config.engine.interaction_shards) {
-  // Replay the router's ordered log: same Add sequence => bitwise-
+  // Replay the ordered bootstrap log: same Add sequence => bitwise-
   // identical matrix (bytes, norms, registration order, version) on
   // every replica, for any shard count.
-  for (const Interaction& it : replay_log) {
+  for (const Interaction& it : bootstrap) {
     matrix_.Add(it.user, it.item, it.weight);
   }
   engine_ = std::make_unique<RecsysEngine>(config.engine);
@@ -80,62 +78,45 @@ spa::Result<std::unique_ptr<ServingRouter>> ServingRouter::Create(
         "engines");
   }
   std::unique_ptr<ServingRouter> router(
-      new ServingRouter(std::move(config), std::move(bootstrap), sums));
-  for (size_t i = 0; i < router->config_.workers; ++i) {
-    auto plan = router->AddWorker();
-    if (!plan.ok()) return plan.status();
+      new ServingRouter(std::move(config), sums));
+  router->nodes_.reserve(router->config_.workers);
+  for (WorkerId id = 0; id < router->config_.workers; ++id) {
+    auto node =
+        std::make_unique<WorkerNode>(id, router->config_, sums, bootstrap);
+    if (!node->status().ok()) return node->status();
+    router->nodes_.push_back(std::move(node));
   }
-  // The initial population is construction, not churn: report only
-  // post-create membership changes in the stats.
-  router->joins_.store(0);
-  router->shards_moved_.store(0);
   return router;
 }
 
-ServingRouter::ServingRouter(RouterConfig config,
-                             std::vector<Interaction> bootstrap,
-                             sum::SumService* sums)
+ServingRouter::ServingRouter(RouterConfig config, sum::SumService* sums)
     : config_(std::move(config)),
       sums_(sums),
-      directory_(config_.directory),
-      log_(std::move(bootstrap)) {}
+      directory_(config_.workers) {}
 
 ServingRouter::~ServingRouter() { Shutdown(); }
 
-std::unique_ptr<WorkerNode> ServingRouter::BuildNode(WorkerId id) const {
-  return std::make_unique<WorkerNode>(id, config_, sums_, log_);
-}
-
 spa::Result<StreamTicketPtr> ServingRouter::Submit(
     RecommendRequest request, StreamTicket::Callback on_complete) {
-  std::shared_lock lock(mu_);
-  if (stopping_) {
-    return spa::Status::FailedPrecondition("router is shut down");
-  }
-  const WorkerId owner = directory_.OwnerOf(request.user);
-  auto it = nodes_.find(owner);
-  SPA_CHECK_MSG(it != nodes_.end(),
-                "directory routed to a worker the router does not hold");
   reads_routed_.fetch_add(1, std::memory_order_relaxed);
-  return it->second->pipeline()->Submit(std::move(request),
-                                        std::move(on_complete));
+  return nodes_[directory_.OwnerOf(request.user)]->pipeline()->Submit(
+      std::move(request), std::move(on_complete));
 }
 
 spa::Result<FanoutTicket> ServingRouter::SubmitInteractions(
     std::vector<Interaction> batch) {
-  std::unique_lock lock(mu_);
+  std::lock_guard<std::mutex> lock(fanout_mu_);
   if (stopping_) {
     return spa::Status::FailedPrecondition("router is shut down");
   }
-  log_.insert(log_.end(), batch.begin(), batch.end());
   FanoutTicket fanout;
   fanout.tickets_.reserve(nodes_.size());
-  for (auto& [id, node] : nodes_) {
+  for (auto& node : nodes_) {
     auto ticket = node->pipeline()->SubmitInteractions(batch);
-    // Worker lanes are kBlock and the router gates Shutdown, so
+    // Worker lanes are kBlock and Shutdown waits for this mutex, so
     // admission cannot fail underneath us.
     SPA_CHECK_MSG(ticket.ok(), "worker writer lane refused a fanned batch");
-    fanout.tickets_.emplace_back(id, std::move(ticket).value());
+    fanout.tickets_.emplace_back(node->id(), std::move(ticket).value());
   }
   writes_fanned_.fetch_add(1, std::memory_order_relaxed);
   return fanout;
@@ -143,10 +124,6 @@ spa::Result<FanoutTicket> ServingRouter::SubmitInteractions(
 
 spa::Result<StreamTicketPtr> ServingRouter::SubmitSumUpdates(
     std::vector<sum::SumUpdate> updates) {
-  std::shared_lock lock(mu_);
-  if (stopping_) {
-    return spa::Status::FailedPrecondition("router is shut down");
-  }
   if (sums_ == nullptr) {
     return spa::Status::FailedPrecondition(
         "router was built without a SUM service");
@@ -155,106 +132,35 @@ spa::Result<StreamTicketPtr> ServingRouter::SubmitSumUpdates(
     return spa::Status::InvalidArgument("empty SUM update batch");
   }
   const WorkerId owner = directory_.OwnerOf(updates.front().user());
-  auto it = nodes_.find(owner);
-  SPA_CHECK_MSG(it != nodes_.end(),
-                "directory routed to a worker the router does not hold");
   sum_routed_.fetch_add(1, std::memory_order_relaxed);
-  return it->second->pipeline()->SubmitSumUpdates(std::move(updates));
-}
-
-spa::Result<HandoffPlan> ServingRouter::AddWorker() {
-  std::unique_lock lock(mu_);
-  if (stopping_) {
-    return spa::Status::FailedPrecondition("router is shut down");
-  }
-  const WorkerId id = next_worker_;
-  std::unique_ptr<WorkerNode> node = BuildNode(id);
-  if (!node->status().ok()) return node->status();
-  auto plan = directory_.AddWorker(id);
-  SPA_CHECK(plan.ok());  // ids are never reused
-  next_worker_++;
-  nodes_.emplace(id, std::move(node));
-  joins_.fetch_add(1, std::memory_order_relaxed);
-  shards_moved_.fetch_add(plan->moves.size(), std::memory_order_relaxed);
-  return plan;
-}
-
-spa::Result<HandoffPlan> ServingRouter::RemoveWorker(WorkerId worker) {
-  std::unique_lock lock(mu_);
-  if (stopping_) {
-    return spa::Status::FailedPrecondition("router is shut down");
-  }
-  auto it = nodes_.find(worker);
-  if (it == nodes_.end()) {
-    return spa::Status::NotFound("no such worker");
-  }
-  if (nodes_.size() == 1) {
-    return spa::Status::FailedPrecondition(
-        "router keeps at least one worker");
-  }
-  // Drain first: every already-admitted ticket completes before the
-  // shards change hands, so no accepted request is ever lost to a
-  // leave.
-  it->second->pipeline()->Shutdown();
-  auto plan = directory_.RemoveWorker(worker);
-  SPA_CHECK(plan.ok());
-  nodes_.erase(it);
-  leaves_.fetch_add(1, std::memory_order_relaxed);
-  shards_moved_.fetch_add(plan->moves.size(), std::memory_order_relaxed);
-  return plan;
+  return nodes_[owner]->pipeline()->SubmitSumUpdates(std::move(updates));
 }
 
 void ServingRouter::Flush() {
-  std::shared_lock lock(mu_);
-  for (auto& [id, node] : nodes_) node->pipeline()->Flush();
+  for (auto& node : nodes_) node->pipeline()->Flush();
 }
 
 void ServingRouter::Shutdown() {
-  std::unique_lock lock(mu_);
+  std::lock_guard<std::mutex> lock(fanout_mu_);
   if (stopping_) return;
   stopping_ = true;
-  for (auto& [id, node] : nodes_) node->pipeline()->Shutdown();
-}
-
-size_t ServingRouter::worker_count() const {
-  std::shared_lock lock(mu_);
-  return nodes_.size();
-}
-
-std::vector<WorkerId> ServingRouter::worker_ids() const {
-  std::shared_lock lock(mu_);
-  std::vector<WorkerId> ids;
-  ids.reserve(nodes_.size());
-  for (const auto& [id, node] : nodes_) ids.push_back(id);
-  return ids;
+  for (auto& node : nodes_) node->pipeline()->Shutdown();
 }
 
 const WorkerNode* ServingRouter::worker(WorkerId id) const {
-  std::shared_lock lock(mu_);
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : it->second.get();
-}
-
-size_t ServingRouter::log_size() const {
-  std::shared_lock lock(mu_);
-  return log_.size();
+  return id < nodes_.size() ? nodes_[id].get() : nullptr;
 }
 
 RouterStats ServingRouter::stats() const {
-  std::shared_lock lock(mu_);
   RouterStats stats;
-  stats.directory_version = directory_.version();
   stats.reads_routed = reads_routed_.load(std::memory_order_relaxed);
   stats.writes_fanned = writes_fanned_.load(std::memory_order_relaxed);
   stats.sum_routed = sum_routed_.load(std::memory_order_relaxed);
-  stats.joins = joins_.load(std::memory_order_relaxed);
-  stats.leaves = leaves_.load(std::memory_order_relaxed);
-  stats.shards_moved = shards_moved_.load(std::memory_order_relaxed);
   stats.workers.reserve(nodes_.size());
-  for (const auto& [id, node] : nodes_) {
+  for (const auto& node : nodes_) {
     RouterWorkerStats ws;
-    ws.worker = id;
-    ws.owned_shards = directory_.ShardsOwnedBy(id).size();
+    ws.worker = node->id();
+    ws.owned_shards = directory_.ShardsOwnedBy(node->id()).size();
     ws.matrix_version = node->matrix().version();
     ws.pipeline = node->pipeline()->stats();
     ws.cache = node->engine()->cache_stats();

@@ -3,9 +3,8 @@
 
 #include <atomic>
 #include <functional>
-#include <map>
 #include <memory>
-#include <shared_mutex>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -23,11 +22,13 @@
 /// `ServingRouter`. Each `WorkerNode` is a full serving replica — its
 /// own `ShardedInteractionMatrix`, its own `RecsysEngine` (similarity
 /// indexes + response cache) and its own `ServingPipeline` queue — and
-/// owns a group of the `OwnershipDirectory`'s virtual shards. Reads
-/// (`Submit`) are routed to the owner of the requesting user; the
-/// in-process nodes are the explicit stepping stone the ROADMAP calls
-/// for before multi-process workers, so the router deliberately talks
-/// to nodes only through their pipelines (the future RPC seam).
+/// owns a group of the `OwnershipDirectory`'s virtual shards. The
+/// replica set and the ownership table are built once, in `Create`,
+/// and never change. Reads (`Submit`) are routed to the owner of the
+/// requesting user; the in-process nodes are the explicit stepping
+/// stone the ROADMAP calls for before multi-process workers, so the
+/// router deliberately talks to nodes only through their pipelines
+/// (the future RPC seam).
 ///
 /// ## Writer fan-out and the affected-worker rule
 ///
@@ -37,10 +38,9 @@
 ///  * **Interaction batches** affect *every* worker: a replica's KNN
 ///    similarities (and thus its rankings for the users it owns)
 ///    depend on the global interaction matrix, not just on the owned
-///    users' rows. `SubmitInteractions` therefore appends the batch to
-///    the router's ordered interaction log and enqueues it on every
-///    node's writer lane, in ascending worker order, under the
-///    router's exclusive lock — one total order of interaction writes
+///    users' rows. `SubmitInteractions` therefore enqueues the batch on
+///    every node's writer lane, in ascending worker order, under the
+///    router's fan-out mutex — one total order of interaction writes
 ///    across all replicas. Because every replica applies the same
 ///    batches in the same order, the `ApplyDeterminismTest` contract
 ///    (PR 4) makes all replica matrices — bytes, norms, registration
@@ -56,18 +56,6 @@
 /// kReject/kShedOldest admission could accept a fanned batch on one
 /// replica and drop it on another, silently diverging the replicas.
 ///
-/// ## Membership and deterministic handoff
-///
-/// `AddWorker` builds a new node by replaying the interaction log
-/// (bootstrap + every fanned batch) into a fresh matrix and fitting a
-/// fresh engine — bitwise-identical state to the incumbent replicas,
-/// by the same determinism contract — then admits it to the directory
-/// and returns the `HandoffPlan` (exactly the shards the newcomer
-/// won). `RemoveWorker` drains the leaver's pipeline (every admitted
-/// ticket completes), redistributes exactly its shards, and refuses to
-/// drop the last worker. Both run under the router's exclusive lock,
-/// so a membership change is atomic with respect to routing.
-///
 /// ## Parity contract
 ///
 /// For any routed response pinned at (fit_epoch, matrix_version,
@@ -75,18 +63,15 @@
 /// interaction log and replayed to the same pin serves the
 /// byte-identical response. `tests/recsys/router_test.cc` asserts this
 /// over randomized interleavings of Submit / ApplyInteractions /
-/// SubmitSumUpdates / join / leave, and `bench_serving --smoke` gates
-/// it in CI.
+/// SubmitSumUpdates, and `bench_serving --smoke` gates it in CI.
 
 namespace spa::recsys {
 
 /// \brief Router tunables.
 struct RouterConfig {
-  /// Initial worker-node count (>= 1, SPA_CHECK — a router with no
-  /// workers could route nothing).
+  /// Worker-node count (>= 1, SPA_CHECK — a router with no workers
+  /// could route nothing).
   size_t workers = 2;
-  /// User -> worker resolution (virtual shard ring).
-  DirectoryConfig directory;
   /// Per-worker engine tunables; every node gets its own engine,
   /// similarity indexes and response cache built from this config.
   /// `interaction_shards` also sizes each node's matrix replica.
@@ -97,23 +82,23 @@ struct RouterConfig {
   PipelineConfig queue;
   /// Assembles one node's recommender stack: AddComponent(...) calls
   /// plus SetItemEmotionProfile(...) registrations. Invoked once per
-  /// node (including late joiners) and must build the same stack every
-  /// time, or the cross-replica parity contract is void. Must not call
+  /// node and must build the same stack every time, or the
+  /// cross-replica parity contract is void. Must not call
   /// set_sum_service (the router wires the shared service itself).
   std::function<void(RecsysEngine&)> stack_builder;
 };
 
 /// \brief One worker node: a full shard-group serving replica.
 ///
-/// Construction replays the router's interaction log into the node's
-/// own matrix, builds + fits the node's engine and starts the node's
-/// pipeline. Nodes live on the heap and never move (the engine borrows
-/// the matrix, the pipeline borrows the engine).
+/// Construction replays the bootstrap log into the node's own matrix,
+/// builds + fits the node's engine and starts the node's pipeline.
+/// Nodes live on the heap and never move (the engine borrows the
+/// matrix, the pipeline borrows the engine).
 class WorkerNode {
  public:
   WorkerNode(WorkerId id, const RouterConfig& config,
              sum::SumService* sums,
-             const std::vector<Interaction>& replay_log);
+             const std::vector<Interaction>& bootstrap);
 
   WorkerNode(const WorkerNode&) = delete;
   WorkerNode& operator=(const WorkerNode&) = delete;
@@ -172,13 +157,9 @@ struct RouterWorkerStats {
 
 /// \brief Cumulative router counters plus the per-worker slices.
 struct RouterStats {
-  uint64_t directory_version = 0;
   uint64_t reads_routed = 0;    ///< Submit calls handed to a worker
   uint64_t writes_fanned = 0;   ///< interaction batches fanned out
   uint64_t sum_routed = 0;      ///< SUM batches routed to an owner
-  uint64_t joins = 0;
-  uint64_t leaves = 0;
-  uint64_t shards_moved = 0;    ///< total ShardMoves across changes
   /// Degrade-tier shed quality summed across workers (see
   /// `PipelineStats::fallback_served` / `expired_drops`).
   uint64_t fallback_served = 0;
@@ -189,14 +170,16 @@ struct RouterStats {
 };
 
 /// \brief Routes requests to owner workers and fans writes to affected
-/// workers. Thread-safe.
+/// workers. Thread-safe: only the fan-out order and the shutdown flag
+/// are mutable, and one mutex guards both.
 class ServingRouter {
  public:
   /// Builds `config.workers` nodes from `bootstrap` (the ordered
-  /// interaction log all replicas start from) and `sums` (the shared
-  /// emotional-context service; borrowed, may be null, must outlive
-  /// the router). Errors: InvalidArgument (no stack_builder), or the
-  /// first node's Fit error. Worker counts of 0 abort (SPA_CHECK).
+  /// interaction log all replicas start from; released once every
+  /// node has replayed it) and `sums` (the shared emotional-context
+  /// service; borrowed, may be null, must outlive the router).
+  /// Errors: InvalidArgument (no stack_builder), or the first node's
+  /// Fit error. Worker counts of 0 abort (SPA_CHECK).
   static spa::Result<std::unique_ptr<ServingRouter>> Create(
       RouterConfig config, std::vector<Interaction> bootstrap,
       sum::SumService* sums);
@@ -208,13 +191,14 @@ class ServingRouter {
 
   // ---- serving -----------------------------------------------------------
   /// Routes one request to the owner of `request.user`. Errors:
-  /// FailedPrecondition (router shut down).
+  /// FailedPrecondition (router shut down: the owner's pipeline
+  /// refuses).
   spa::Result<StreamTicketPtr> Submit(
       RecommendRequest request, StreamTicket::Callback on_complete = {});
 
-  /// Appends the batch to the interaction log and fans it to every
-  /// worker's writer lane (all replicas are affected; see file
-  /// comment). Errors: FailedPrecondition (shut down).
+  /// Fans the batch to every worker's writer lane (all replicas are
+  /// affected; see file comment). Errors: FailedPrecondition (shut
+  /// down).
   spa::Result<FanoutTicket> SubmitInteractions(
       std::vector<Interaction> batch);
 
@@ -224,16 +208,6 @@ class ServingRouter {
   /// batch), FailedPrecondition (shut down or no SUM service).
   spa::Result<StreamTicketPtr> SubmitSumUpdates(
       std::vector<sum::SumUpdate> updates);
-
-  // ---- membership --------------------------------------------------------
-  /// Builds a new node from the interaction log, admits it and returns
-  /// the handoff plan. Errors: the node's Fit error (the directory is
-  /// untouched on failure).
-  spa::Result<HandoffPlan> AddWorker();
-
-  /// Drains and retires `worker`, redistributing its shards. Errors:
-  /// NotFound (no such worker), FailedPrecondition (last worker).
-  spa::Result<HandoffPlan> RemoveWorker(WorkerId worker);
 
   // ---- control -----------------------------------------------------------
   /// Blocks until every worker's lanes are empty (settles only while
@@ -246,46 +220,30 @@ class ServingRouter {
 
   // ---- introspection -----------------------------------------------------
   WorkerId OwnerOf(UserId user) const { return directory_.OwnerOf(user); }
-  const OwnershipDirectory& directory() const { return directory_; }
-  size_t worker_count() const;
-  std::vector<WorkerId> worker_ids() const;
-  /// Borrowed node view for tests/benches; null for non-members. The
-  /// pointer is invalidated by RemoveWorker/Shutdown.
+  size_t worker_count() const { return nodes_.size(); }
+  /// Borrowed node view for tests/benches; null for ids >= worker_count.
   const WorkerNode* worker(WorkerId id) const;
-  /// Interactions in the replay log (bootstrap + fanned batches).
-  size_t log_size() const;
   RouterStats stats() const;
   const RouterConfig& config() const { return config_; }
 
  private:
-  explicit ServingRouter(RouterConfig config,
-                         std::vector<Interaction> bootstrap,
-                         sum::SumService* sums);
-
-  /// Builds a node from the current log; called with mu_ exclusive.
-  std::unique_ptr<WorkerNode> BuildNode(WorkerId id) const;
+  ServingRouter(RouterConfig config, sum::SumService* sums);
 
   RouterConfig config_;
   sum::SumService* sums_;
-  OwnershipDirectory directory_;
+  const OwnershipDirectory directory_;
+  /// Indexed by WorkerId; filled in Create and never changed after.
+  std::vector<std::unique_ptr<WorkerNode>> nodes_;
 
-  /// Guards nodes_, log_ and stopping_. Reads route under the shared
-  /// side; writer fan-out and membership changes take the exclusive
-  /// side (one total order of interaction writes).
-  mutable std::shared_mutex mu_;
-  std::map<WorkerId, std::unique_ptr<WorkerNode>> nodes_;
-  /// The ordered interaction history: bootstrap + every fanned batch.
-  /// Joining nodes replay it to reach bitwise-identical state.
-  std::vector<Interaction> log_;
-  WorkerId next_worker_ = 0;
+  /// Orders SubmitInteractions fan-outs against each other (one total
+  /// write order across replicas) and against Shutdown (a fanned batch
+  /// never meets a shut lane). Guards stopping_.
+  std::mutex fanout_mu_;
   bool stopping_ = false;
 
   std::atomic<uint64_t> reads_routed_{0};
   std::atomic<uint64_t> writes_fanned_{0};
   std::atomic<uint64_t> sum_routed_{0};
-  std::atomic<uint64_t> joins_{0};
-  std::atomic<uint64_t> leaves_{0};
-  std::atomic<uint64_t> shards_moved_{0};
 };
 
 }  // namespace spa::recsys

@@ -1,7 +1,5 @@
 #include "recsys/serving_pipeline.h"
 
-#include <ctime>
-
 #include <algorithm>
 #include <limits>
 #include <utility>
@@ -16,19 +14,6 @@ using Clock = std::chrono::steady_clock;
 
 double SecondsBetween(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
-}
-
-/// CPU seconds consumed by the calling thread, or a negative value
-/// when no thread CPU clock is available (caller falls back to wall).
-double ThreadCpuSeconds() {
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-  timespec ts;
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-  }
-#endif
-  return -1.0;
 }
 }  // namespace
 
@@ -396,7 +381,6 @@ void ServingPipeline::DrainLoop() {
 
 void ServingPipeline::ExecuteWrite(Op op) {
   const auto dequeued = Clock::now();
-  const double cpu_before = ThreadCpuSeconds();
   const double waited =
       SecondsBetween(op.ticket->submitted_at_, dequeued);
   hist_queue_wait_.Add(waited);
@@ -424,12 +408,6 @@ void ServingPipeline::ExecuteWrite(Op op) {
   }
   const double seconds = SecondsBetween(dequeued, Clock::now());
   hist_update_apply_.Add(seconds);
-  const double cpu_after = ThreadCpuSeconds();
-  const double busy = (cpu_before >= 0.0 && cpu_after >= cpu_before)
-                          ? cpu_after - cpu_before
-                          : seconds;
-  update_busy_nanos_.fetch_add(static_cast<uint64_t>(busy * 1e9),
-                               std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> ticket_lock(op.ticket->mu_);
     op.ticket->queue_seconds_ = waited;
@@ -478,7 +456,6 @@ size_t ServingPipeline::ExecuteReadBatch(std::vector<Op> batch) {
   }
   if (batch.empty()) return 0;
 
-  const double cpu_before = ThreadCpuSeconds();
   std::vector<RecommendRequest> requests;
   requests.reserve(batch.size());
   for (Op& op : batch) {
@@ -489,12 +466,6 @@ size_t ServingPipeline::ExecuteReadBatch(std::vector<Op> batch) {
   const auto served = Clock::now();
   const double serve_seconds = SecondsBetween(dequeued, served);
   hist_batch_serve_.Add(serve_seconds);
-  const double cpu_after = ThreadCpuSeconds();
-  const double busy = (cpu_before >= 0.0 && cpu_after >= cpu_before)
-                          ? cpu_after - cpu_before
-                          : serve_seconds;
-  serve_busy_nanos_.fetch_add(static_cast<uint64_t>(busy * 1e9),
-                              std::memory_order_relaxed);
   // Feed the slack classifier: EWMA (3:1 old:new) of per-request full
   // serve wall time. Lossy read-modify-write is fine — this is an
   // estimate, and any worker's recent sample is representative.
@@ -603,14 +574,6 @@ PipelineStats ServingPipeline::stats() const {
   out.expired_drops = expired_drops_;
   out.max_queue_depth = max_queue_depth_;
   out.max_writer_queue_depth = max_writer_queue_depth_;
-  out.serve_busy_seconds =
-      static_cast<double>(
-          serve_busy_nanos_.load(std::memory_order_relaxed)) *
-      1e-9;
-  out.update_busy_seconds =
-      static_cast<double>(
-          update_busy_nanos_.load(std::memory_order_relaxed)) *
-      1e-9;
   out.queue_wait = hist_queue_wait_;
   out.batch_serve = hist_batch_serve_;
   out.update_apply = hist_update_apply_;

@@ -248,17 +248,6 @@ struct PipelineStats {
   uint64_t expired_drops = 0;
   uint64_t max_queue_depth = 0;         ///< high-water mark, read lane
   uint64_t max_writer_queue_depth = 0;  ///< high-water mark, writer lane
-  /// CPU seconds this pipeline's workers spent inside the engine
-  /// serving read micro-batches / applying writer-lane ops (thread
-  /// CPU clock, so co-runner time-slicing on an oversubscribed host
-  /// is excluded; falls back to wall where thread CPU clocks are
-  /// unavailable). The replica-utilization number capacity math
-  /// needs: on a host with a core per worker node, aggregate
-  /// deployment throughput is bound by the busiest replica's busy
-  /// time, even when the bench host itself is core-starved and
-  /// wall-clock throughput cannot show the scaling.
-  double serve_busy_seconds = 0.0;
-  double update_busy_seconds = 0.0;
   LogHistogram queue_wait;   ///< per op: admission -> dequeue
   LogHistogram batch_serve;  ///< per micro-batch: engine serve wall
   LogHistogram update_apply; ///< per writer op: apply wall
@@ -311,8 +300,8 @@ class ServingPipeline {
   /// settles while producers are quiet.
   void Flush();
 
-  /// Stops admission, drains every already-admitted op, joins the
-  /// workers. Idempotent; the destructor calls it.
+  /// Stops admission, drains every already-admitted op and stops
+  /// the worker threads. Idempotent; the destructor calls it.
   void Shutdown();
 
   PipelineStats stats() const;
@@ -384,10 +373,6 @@ class ServingPipeline {
   LogHistogram hist_batch_serve_;
   LogHistogram hist_update_apply_;
   LogHistogram hist_end_to_end_;
-  /// Busy-time accumulators in nanoseconds (atomic: recorded outside
-  /// mu_ on the serve path, like the histograms).
-  std::atomic<uint64_t> serve_busy_nanos_{0};
-  std::atomic<uint64_t> update_busy_nanos_{0};
   /// EWMA of full-serve wall time per request, nanoseconds (0 until
   /// the first full batch completes) — the drain-side slack
   /// classifier's estimate of what a full serve would cost.

@@ -99,6 +99,9 @@ TEST(KernelParityTest, ScaleGatherMatchesBitwiseForStrides) {
                                               : out_scalar.data());
       });
       if (!both) GTEST_SKIP() << "CPU lacks AVX2; scalar-only host";
+      // Empty vectors may hand memcmp null pointers, which is UB even
+      // for a zero length; the empty case only checks ScaleGather runs.
+      if (n == 0) continue;
       ASSERT_EQ(std::memcmp(out_scalar.data(), out_avx2.data(),
                             n * sizeof(double)),
                 0)
@@ -126,6 +129,9 @@ TEST(KernelParityTest, NormalizedContributionMatchesBitwise) {
                                    : out_scalar.data());
       });
       if (!both) GTEST_SKIP() << "CPU lacks AVX2; scalar-only host";
+      // Empty vectors may hand memcmp null pointers, which is UB even
+      // for a zero length; the empty case only checks ScaleGather runs.
+      if (n == 0) continue;
       ASSERT_EQ(std::memcmp(out_scalar.data(), out_avx2.data(),
                             n * sizeof(double)),
                 0)
