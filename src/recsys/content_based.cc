@@ -35,13 +35,13 @@ std::vector<double> ContentBasedRecommender::ProfileOf(
   return profile;
 }
 
-std::vector<Scored> ContentBasedRecommender::RecommendCandidates(
-    const CandidateQuery& query) const {
-  std::vector<Scored> out;
-  if (matrix_ == nullptr) return out;
+void ContentBasedRecommender::RecommendCandidatesInto(
+    const CandidateQuery& query, std::vector<Scored>* out) const {
+  out->clear();
+  if (matrix_ == nullptr) return;
   const std::vector<double> profile = ProfileOf(query.user);
   const double profile_norm = std::sqrt(ml::L2NormSquared(profile));
-  if (profile_norm == 0.0) return out;
+  if (profile_norm == 0.0) return;
 
   for (const auto& [item, features] : item_features_) {
     if (!query.Admits(matrix_, item)) continue;
@@ -49,10 +49,9 @@ std::vector<Scored> ContentBasedRecommender::RecommendCandidates(
     if (norm == 0.0) continue;
     const double score =
         features.Dot(profile) / (norm * profile_norm);
-    out.push_back({item, score});
+    out->push_back({item, score});
   }
-  SortAndTruncate(&out, query.k);
-  return out;
+  SortAndTruncate(out, query.k);
 }
 
 }  // namespace spa::recsys

@@ -28,8 +28,8 @@ class ContentBasedRecommender : public Recommender {
     (void)outcome;
     return spa::Status::OK();
   }
-  std::vector<Scored> RecommendCandidates(
-      const CandidateQuery& query) const override;
+  void RecommendCandidatesInto(const CandidateQuery& query,
+                               std::vector<Scored>* out) const override;
   std::string name() const override { return "ContentBased"; }
 
   /// The profile vector of a user (dense, feature-space sized).

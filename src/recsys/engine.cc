@@ -97,10 +97,7 @@ std::unique_ptr<RecsysEngine::ServeScratch> RecsysEngine::AcquireScratch()
       scratch_free_.pop_back();
     }
   }
-  if (scratch == nullptr) {
-    scratch = std::make_unique<ServeScratch>();
-    scratch->ws.BindPool(&workspace_pool_);
-  }
+  if (scratch == nullptr) scratch = std::make_unique<ServeScratch>();
   timer.Stop();
   return scratch;
 }
@@ -117,7 +114,7 @@ RecsysEngine::~RecsysEngine() = default;
 
 RecsysEngine::RecsysEngine(EngineConfig config)
     : config_(config),
-      hybrid_(std::make_unique<HybridRecommender>(HybridConfig{})),
+      hybrid_(std::make_unique<HybridRecommender>()),
       reranker_(config.rerank),
       user_freq_(FrequencyMapConfig{.decay_factor = kCacheDecayFactor}) {
   SPA_CHECK_MSG(config_.interaction_shards >= 1,
@@ -447,18 +444,6 @@ void RecsysEngine::CacheInsert(uint64_t hash,
     cache_lru_.pop_back();
     ++cache_stats_.capacity_evictions;
   }
-}
-
-std::vector<ComponentIndexStats> RecsysEngine::index_stats() const {
-  std::vector<ComponentIndexStats> out;
-  for (size_t i = 0; i < hybrid_->component_count(); ++i) {
-    const SimilarityIndexStats* stats =
-        hybrid_->component(i).index_stats();
-    if (stats != nullptr) {
-      out.push_back({hybrid_->component_name(i), *stats});
-    }
-  }
-  return out;
 }
 
 EngineCacheStats RecsysEngine::cache_stats() const {

@@ -16,12 +16,10 @@
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "common/workspace_pool.h"
 #include "recsys/emotion_aware.h"
 #include "recsys/hybrid.h"
 #include "recsys/popularity.h"
 #include "recsys/request.h"
-#include "recsys/similarity_index.h"
 #include "sum/sum_service.h"
 
 /// \file
@@ -150,12 +148,6 @@ struct EngineConfig {
   /// builds around this engine (`core::Spa` constructs its matrix
   /// with it); 1 reproduces the unsharded layout bit-for-bit.
   size_t interaction_shards = 1;
-};
-
-/// \brief Fit-time index report of one stack component.
-struct ComponentIndexStats {
-  std::string component;        ///< Recommender::name()
-  SimilarityIndexStats stats;   ///< build time / size / version stamp
 };
 
 /// \brief Hit/miss counters of the response cache.
@@ -337,11 +329,6 @@ class RecsysEngine {
   /// Resizes the batch pool (tears down the old one after in-flight
   /// work drains; not thread-safe against concurrent RecommendBatch).
   void set_batch_threads(size_t threads);
-
-  /// Fit-time similarity-index statistics of every component that
-  /// keeps one (build time, memory, matrix version stamp). Empty
-  /// before Fit or when no component is indexed.
-  std::vector<ComponentIndexStats> index_stats() const;
 
   /// Response-cache counters (cumulative since construction).
   EngineCacheStats cache_stats() const;
@@ -533,11 +520,6 @@ class RecsysEngine {
   std::mutex pool_mu_;
   ThreadPool* EnsurePool();
 
-  /// Page-granular memory recycled by the scoring accumulators.
-  /// Declared before the scratch free list: scratches release their
-  /// blocks into the pool on destruction, so the pool must outlive
-  /// them (members destroy in reverse declaration order).
-  mutable WorkspacePool workspace_pool_;
   /// Recycled serve scratches (state + workspace), guarded by
   /// scratch_mu_. Capacities persist across requests — the warm serve
   /// path performs zero heap allocations.

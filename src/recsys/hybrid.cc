@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_map>
 
 #include "common/check.h"
 #include "common/clock.h"
@@ -12,11 +11,6 @@ namespace spa::recsys {
 
 // The blend kernel walks Scored::score at stride 2 doubles.
 static_assert(sizeof(Scored) == 2 * sizeof(double));
-
-HybridRecommender::HybridRecommender(HybridConfig config)
-    : config_(config) {
-  SPA_CHECK(config_.component_depth > 0);
-}
 
 void HybridRecommender::AddComponent(
     std::unique_ptr<Recommender> component, double weight) {
@@ -57,24 +51,6 @@ spa::Status HybridRecommender::Refresh(RefreshOutcome* outcome) {
   return spa::Status::OK();
 }
 
-std::vector<HybridRecommender::Blended>
-HybridRecommender::BlendCandidates(const CandidateQuery& query,
-                                   bool track_contributions) const {
-  std::vector<Blended> blended;
-  BlendFetchedInto(FetchComponentCandidates(query), track_contributions,
-                   query.workspace, &blended);
-  return blended;
-}
-
-std::vector<std::vector<Scored>>
-HybridRecommender::FetchComponentCandidates(
-    const CandidateQuery& query,
-    std::vector<double>* component_seconds) const {
-  std::vector<std::vector<Scored>> fetched;
-  FetchComponentCandidatesInto(query, &fetched, component_seconds);
-  return fetched;
-}
-
 void HybridRecommender::FetchComponentCandidatesInto(
     const CandidateQuery& query,
     std::vector<std::vector<Scored>>* fetched,
@@ -86,7 +62,7 @@ void HybridRecommender::FetchComponentCandidatesInto(
   }
   for (size_t ci = 0; ci < components_.size(); ++ci) {
     CandidateQuery sub = query;
-    sub.k = config_.component_depth;
+    sub.k = kComponentDepth;
     const auto start = std::chrono::steady_clock::now();
     components_[ci].recommender->RecommendCandidatesInto(sub,
                                                          &(*fetched)[ci]);
@@ -96,72 +72,16 @@ void HybridRecommender::FetchComponentCandidatesInto(
   }
 }
 
-std::vector<HybridRecommender::Blended> HybridRecommender::BlendFetched(
-    const std::vector<std::vector<Scored>>& fetched,
-    bool track_contributions) const {
-  std::vector<Blended> blended;
-  BlendFetchedInto(fetched, track_contributions, nullptr, &blended);
-  return blended;
-}
-
 void HybridRecommender::BlendFetchedInto(
     const std::vector<std::vector<Scored>>& fetched,
     bool track_contributions, kernels::ScoreWorkspace* workspace,
     std::vector<Blended>* blended) const {
   SPA_CHECK(fetched.size() == components_.size());
   blended->clear();
-  const auto by_score_then_item = [](const Blended& a, const Blended& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.item < b.item;
-  };
-
-  if (track_contributions) {
-    // Explanation path: the per-candidate contribution vectors
-    // allocate regardless, so keep the straightforward map-based
-    // accumulation. Bitwise-equal to the kernel path below — same
-    // per-item += order, same total sort order.
-    std::unordered_map<ItemId, size_t> index;
-    for (size_t ci = 0; ci < components_.size(); ++ci) {
-      const Component& c = components_[ci];
-      const std::vector<Scored>& scored = fetched[ci];
-      if (scored.empty()) continue;
-      // Min-max normalize this component's scores to [0,1].
-      double lo = scored.back().score;
-      double hi = scored.front().score;
-      for (const Scored& s : scored) {
-        lo = std::min(lo, s.score);
-        hi = std::max(hi, s.score);
-      }
-      const double span = hi - lo;
-      // Items the component did not return contribute 0, so a returned
-      // candidate must contribute strictly more than 0 or its ranking
-      // information is lost when the list is shorter than the blend
-      // depth: affinely map [0,1] onto [floor, 1] with floor = 1/(n+1).
-      const double floor = 1.0 / static_cast<double>(scored.size() + 1);
-      for (const Scored& s : scored) {
-        const double raw = span > 0.0 ? (s.score - lo) / span : 1.0;
-        const double normalized = floor + (1.0 - floor) * raw;
-        const double contribution = c.weight * normalized;
-        auto [it, inserted] = index.emplace(s.item, blended->size());
-        if (inserted) {
-          Blended b;
-          b.item = s.item;
-          b.contributions.assign(components_.size(), 0.0);
-          blended->push_back(std::move(b));
-        }
-        Blended& entry = (*blended)[it->second];
-        entry.score += contribution;
-        entry.contributions[ci] += contribution;
-      }
-    }
-    std::sort(blended->begin(), blended->end(), by_score_then_item);
-    return;
-  }
-
-  // Hot path: normalize-and-weigh each component list with the kernel,
-  // fold into the pooled accumulator (first-touch slot order matches
-  // the map path's insertion order, so every per-item += sequence is
-  // identical).
+  // Normalize-and-weigh each component list with the kernel and fold
+  // it into the accumulator, whose first-touch slots are the blended
+  // order before the sort. Contribution tracking records the same
+  // kernel products per (slot, component), so it changes no score.
   kernels::ScoreWorkspace& ws = kernels::ResolveWorkspace(workspace);
   kernels::ScoreAccumulator& acc = ws.acc;
   acc.Begin(/*expected_items=*/64);
@@ -169,6 +89,7 @@ void HybridRecommender::BlendFetchedInto(
     const Component& c = components_[ci];
     const std::vector<Scored>& scored = fetched[ci];
     if (scored.empty()) continue;
+    // Min-max normalize this component's scores to [0,1].
     double lo = scored.back().score;
     double hi = scored.front().score;
     for (const Scored& s : scored) {
@@ -176,35 +97,45 @@ void HybridRecommender::BlendFetchedInto(
       hi = std::max(hi, s.score);
     }
     const double span = hi - lo;
+    // Items the component did not return contribute 0, so a returned
+    // candidate must contribute strictly more than 0 or its ranking
+    // information is lost when the list is shorter than the blend
+    // depth: affinely map [0,1] onto [floor, 1] with floor = 1/(n+1).
     const double floor = 1.0 / static_cast<double>(scored.size() + 1);
     const size_t n = scored.size();
     double* products = ws.EnsureProducts(n);
     kernels::NormalizedContribution(&scored[0].score, 2, n, lo, span,
                                     floor, c.weight, products);
-    for (size_t i = 0; i < n; ++i) acc.Add(scored[i].item, products[i]);
+    for (size_t i = 0; i < n; ++i) {
+      const size_t slot = acc.Add(scored[i].item, products[i]);
+      if (!track_contributions) continue;
+      if (slot == blended->size()) {
+        blended->emplace_back().contributions.assign(components_.size(),
+                                                     0.0);
+      }
+      (*blended)[slot].contributions[ci] += products[i];
+    }
   }
   const size_t count = acc.size();
-  blended->reserve(count);
+  blended->resize(count);
   for (size_t i = 0; i < count; ++i) {
-    Blended b;
-    b.item = acc.item(i);
-    b.score = acc.score(i);
-    blended->push_back(std::move(b));
+    (*blended)[i].item = acc.item(i);
+    (*blended)[i].score = acc.score(i);
   }
-  std::sort(blended->begin(), blended->end(), by_score_then_item);
-}
-
-std::vector<Scored> HybridRecommender::RecommendCandidates(
-    const CandidateQuery& query) const {
-  std::vector<Scored> out;
-  RecommendCandidatesInto(query, &out);
-  return out;
+  std::sort(blended->begin(), blended->end(),
+            [](const Blended& a, const Blended& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.item < b.item;
+            });
 }
 
 void HybridRecommender::RecommendCandidatesInto(
     const CandidateQuery& query, std::vector<Scored>* out) const {
-  const std::vector<Blended> blended =
-      BlendCandidates(query, /*track_contributions=*/false);
+  std::vector<std::vector<Scored>> fetched;
+  std::vector<Blended> blended;
+  FetchComponentCandidatesInto(query, &fetched);
+  BlendFetchedInto(fetched, /*track_contributions=*/false,
+                   query.workspace, &blended);
   out->clear();
   out->reserve(std::min(query.k, blended.size()));
   for (const Blended& b : blended) {

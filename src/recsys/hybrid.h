@@ -12,16 +12,12 @@
 
 namespace spa::recsys {
 
-struct HybridConfig {
-  /// Candidates requested from each component before blending.
-  size_t component_depth = 100;
-};
+/// Candidates requested from each component before blending.
+inline constexpr size_t kComponentDepth = 100;
 
 /// \brief Weighted-combination hybrid.
 class HybridRecommender : public Recommender {
  public:
-  explicit HybridRecommender(HybridConfig config = {});
-
   /// Adds a component with its blending weight (weights need not sum
   /// to 1; they are used as given).
   void AddComponent(std::unique_ptr<Recommender> component,
@@ -32,8 +28,6 @@ class HybridRecommender : public Recommender {
   /// affected users, OR of the all-users/full-rebuild flags, summed
   /// costs).
   spa::Status Refresh(RefreshOutcome* outcome) override;
-  std::vector<Scored> RecommendCandidates(
-      const CandidateQuery& query) const override;
   void RecommendCandidatesInto(const CandidateQuery& query,
                                std::vector<Scored>* out) const override;
   std::string name() const override { return "WeightedHybrid"; }
@@ -47,30 +41,14 @@ class HybridRecommender : public Recommender {
     std::vector<double> contributions;
   };
 
-  /// Blends component scores for the query without truncating to
-  /// query.k, sorted by (score desc, item asc). With
-  /// `track_contributions` each candidate also carries its
-  /// per-component share — the explanation path of the serving
-  /// engine; leave it off on the hot path (it allocates one vector
-  /// per candidate). Exactly `FetchComponentCandidates` followed by
-  /// `BlendFetched` — the staged serving dataflow calls the two
-  /// halves as separate stages and is bitwise-identical by
-  /// construction.
-  std::vector<Blended> BlendCandidates(const CandidateQuery& query,
-                                       bool track_contributions = true) const;
-
   /// Stage half 1: every component's candidates for the query (at
-  /// `component_depth`, not query.k), indexed like components. The
-  /// only half that reads the interaction matrix. When
-  /// `component_seconds` is non-null it receives one wall-clock
-  /// duration per component (the engine's L3 profiler items).
-  std::vector<std::vector<Scored>> FetchComponentCandidates(
-      const CandidateQuery& query,
-      std::vector<double>* component_seconds = nullptr) const;
-
-  /// Allocation-aware fetch: `*fetched` is resized to the component
-  /// count and each inner vector is refilled in place, so a pooled
-  /// caller's capacities persist across requests.
+  /// `kComponentDepth`, not query.k), indexed like components. The
+  /// only half that reads the interaction matrix. `*fetched` is
+  /// resized to the component count and each inner vector is refilled
+  /// in place, so a pooled caller's capacities persist across
+  /// requests. When `component_seconds` is non-null it receives one
+  /// wall-clock duration per component (the engine's L3 profiler
+  /// items).
   void FetchComponentCandidatesInto(
       const CandidateQuery& query,
       std::vector<std::vector<Scored>>* fetched,
@@ -78,19 +56,15 @@ class HybridRecommender : public Recommender {
 
   /// Stage half 2: min-max-normalizes each component's fetched list
   /// (floor = 1/(n+1), see the implementation comment), accumulates
-  /// the weighted blend and sorts by (score desc, item asc). Pure —
+  /// the weighted blend on `workspace` (null = a thread-local one)
+  /// through the normalize/weigh kernel, and writes it to `*blended`
+  /// sorted by (score desc, item asc), untruncated. With
+  /// `track_contributions` each candidate also carries its
+  /// per-component share — the engine's explanation path; the scores
+  /// and order are bitwise the same either way, but leave it off on
+  /// the hot path (it allocates one vector per candidate). Pure —
   /// touches no fitted state beyond component weights, so it may run
   /// outside the serve lock against pinned fetch results.
-  std::vector<Blended> BlendFetched(
-      const std::vector<std::vector<Scored>>& fetched,
-      bool track_contributions = true) const;
-
-  /// Allocation-aware blend into `*blended`. Without contribution
-  /// tracking the accumulation runs on `workspace` (null = a
-  /// thread-local one) through the normalize/weigh kernel — the serve
-  /// hot path; with tracking it keeps the map-based explanation code
-  /// (those per-candidate vectors allocate regardless). Both produce
-  /// bitwise-identical scores and ordering.
   void BlendFetchedInto(const std::vector<std::vector<Scored>>& fetched,
                         bool track_contributions,
                         kernels::ScoreWorkspace* workspace,
@@ -107,14 +81,11 @@ class HybridRecommender : public Recommender {
     return components_[i].weight;
   }
 
-  const HybridConfig& config() const { return config_; }
-
  private:
   struct Component {
     std::unique_ptr<Recommender> recommender;
     double weight;
   };
-  HybridConfig config_;
   std::vector<Component> components_;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstring>
 
 #include <immintrin.h>
 
@@ -204,81 +203,18 @@ void NormalizedContribution(const double* base, size_t stride, size_t n,
 
 // ---- ScoreAccumulator ------------------------------------------------------
 
-namespace {
-
-WorkspacePool* DefaultPool() {
-  // Leaked on purpose: thread_local workspaces release blocks at
-  // thread exit, which may run after static destructors.
-  static WorkspacePool* pool = new WorkspacePool();
-  return pool;
-}
-
-}  // namespace
-
-ScoreAccumulator::~ScoreAccumulator() { ReleaseBlock(); }
-
-WorkspacePool* ScoreAccumulator::pool_or_default() {
-  return pool_ != nullptr ? pool_ : DefaultPool();
-}
-
-void ScoreAccumulator::BindPool(WorkspacePool* pool) {
-  if (pool == pool_) return;
-  ReleaseBlock();
-  pool_ = pool;
-}
-
-void ScoreAccumulator::ReleaseBlock() {
-  if (block_.data == nullptr) return;
-  pool_or_default()->Release(block_);
-  block_ = {};
-  scores_ = nullptr;
-  items_ = nullptr;
-  keys_ = nullptr;
-  slots_ = nullptr;
-  stamps_ = nullptr;
-  capacity_ = 0;
-  table_mask_ = 0;
-  count_ = 0;
-  epoch_ = 0;
-}
-
 void ScoreAccumulator::EnsureCapacity(size_t min_items) {
-  if (capacity_ >= min_items) return;
+  if (scores_.size() >= min_items) return;
   const size_t capacity = std::bit_ceil(std::max<size_t>(min_items, 64));
   const size_t table = 2 * capacity;
-  // Layout (doubles first for alignment): scores | items | keys |
-  // slots | stamps.
-  const size_t bytes = capacity * sizeof(double) +
-                       capacity * sizeof(ItemId) +
-                       table * (sizeof(ItemId) + 2 * sizeof(uint32_t));
-  WorkspaceBlock block = pool_or_default()->Acquire(bytes);
-  char* p = static_cast<char*>(block.data);
-  double* scores = reinterpret_cast<double*>(p);
-  p += capacity * sizeof(double);
-  ItemId* items = reinterpret_cast<ItemId*>(p);
-  p += capacity * sizeof(ItemId);
-  ItemId* keys = reinterpret_cast<ItemId*>(p);
-  p += table * sizeof(ItemId);
-  uint32_t* slots = reinterpret_cast<uint32_t*>(p);
-  p += table * sizeof(uint32_t);
-  uint32_t* stamps = reinterpret_cast<uint32_t*>(p);
-
-  const size_t old_count = count_;
-  if (old_count > 0) {
-    std::memcpy(scores, scores_, old_count * sizeof(double));
-    std::memcpy(items, items_, old_count * sizeof(ItemId));
-  }
-  ReleaseBlock();
-  block_ = block;
-  scores_ = scores;
-  items_ = items;
-  keys_ = keys;
-  slots_ = slots;
-  stamps_ = stamps;
-  capacity_ = capacity;
+  // The dense arrays keep the live items in their slots; the table is
+  // rebuilt from them below.
+  scores_.resize(capacity);
+  items_.resize(capacity);
+  keys_.resize(table);
+  slots_.resize(table);
+  stamps_.assign(table, 0);
   table_mask_ = table - 1;
-  count_ = old_count;
-  std::memset(stamps_, 0, table * sizeof(uint32_t));
   epoch_ = 1;
   // Reinsert the live items (slot order preserved by construction).
   for (size_t i = 0; i < count_; ++i) {
@@ -292,14 +228,14 @@ void ScoreAccumulator::EnsureCapacity(size_t min_items) {
   }
 }
 
-void ScoreAccumulator::Grow() { EnsureCapacity(capacity_ * 2); }
+void ScoreAccumulator::Grow() { EnsureCapacity(scores_.size() * 2); }
 
 void ScoreAccumulator::Begin(size_t expected_items) {
   count_ = 0;  // before EnsureCapacity: stale items must not migrate
   EnsureCapacity(std::max<size_t>(expected_items, 1));
   ++epoch_;
   if (epoch_ == 0) {
-    std::memset(stamps_, 0, (table_mask_ + 1) * sizeof(uint32_t));
+    std::fill(stamps_.begin(), stamps_.end(), 0);
     epoch_ = 1;
   }
 }

@@ -6,11 +6,10 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "common/workspace_pool.h"
 #include "recsys/interaction_matrix.h"
 
 /// \file
-/// SIMD scoring kernels with runtime dispatch, and the pooled score
+/// SIMD scoring kernels with runtime dispatch, and the score
 /// accumulator the serve hot path runs on.
 ///
 /// ## The parity rule
@@ -81,29 +80,21 @@ void NormalizedContribution(const double* base, size_t stride, size_t n,
 /// enumerates items in exactly the insertion order the map-based code
 /// observed its `+=` sequences in — per-item sums are bitwise
 /// identical. Clearing is O(1) (an epoch bump invalidates every table
-/// stamp); memory comes from a `WorkspacePool`, so the steady state
-/// performs no heap allocation.
+/// stamp) and the arrays only grow, so an accumulator that is reused
+/// across requests performs no heap allocation once warm.
 class ScoreAccumulator {
  public:
-  ScoreAccumulator() = default;
-  ~ScoreAccumulator();
-
-  ScoreAccumulator(const ScoreAccumulator&) = delete;
-  ScoreAccumulator& operator=(const ScoreAccumulator&) = delete;
-
-  /// Pool backing the table/score arrays. Null (the default) uses a
-  /// process-wide shared pool. Rebinding releases current blocks.
-  void BindPool(WorkspacePool* pool);
-
   /// Starts a fresh accumulation: O(1) clear, plus an (amortized-away)
   /// capacity ensure for `expected_items` distinct ids.
   void Begin(size_t expected_items);
 
   /// scores[item] += delta, inserting item at the next dense slot on
-  /// first touch. Grows transparently when full.
-  void Add(ItemId item, double delta) {
+  /// first touch. Grows transparently when full. Returns the item's
+  /// slot (its index for `item()`/`score()`).
+  size_t Add(ItemId item, double delta) {
     const size_t slot = SlotOf(item);
     scores_[slot] += delta;
+    return slot;
   }
 
   size_t size() const { return count_; }
@@ -123,7 +114,7 @@ class ScoreAccumulator {
   }
 
   size_t InsertAt(size_t idx, ItemId item) {
-    if (count_ == capacity_) {
+    if (count_ == scores_.size()) {
       Grow();
       return SlotOf(item);  // re-probe: the table was rebuilt
     }
@@ -137,19 +128,14 @@ class ScoreAccumulator {
 
   void Grow();
   void EnsureCapacity(size_t min_items);
-  void ReleaseBlock();
-  WorkspacePool* pool_or_default();
 
-  WorkspacePool* pool_ = nullptr;
-  WorkspaceBlock block_;
-  // Carved from block_: dense arrays of capacity_ plus an open-
-  // addressing table of 2*capacity_ (keys/slots/stamps).
-  double* scores_ = nullptr;
-  ItemId* items_ = nullptr;
-  ItemId* keys_ = nullptr;
-  uint32_t* slots_ = nullptr;
-  uint32_t* stamps_ = nullptr;
-  size_t capacity_ = 0;    // max distinct items (power of two)
+  // Dense arrays of the capacity (max distinct items, a power of two)
+  // plus an open-addressing table of twice that (keys/slots/stamps).
+  std::vector<double> scores_;
+  std::vector<ItemId> items_;
+  std::vector<ItemId> keys_;
+  std::vector<uint32_t> slots_;
+  std::vector<uint32_t> stamps_;
   size_t table_mask_ = 0;  // table size - 1
   size_t count_ = 0;
   uint32_t epoch_ = 0;
@@ -157,13 +143,12 @@ class ScoreAccumulator {
 
 /// \brief Per-request/per-batch scratch threaded through the serve
 /// stages (`CandidateQuery::workspace`): the score accumulator plus
-/// the kernel product buffer. Pooled by the engine; capacity persists
-/// across requests, so the warm path allocates nothing.
+/// the kernel product buffer. The engine recycles one inside each
+/// pooled serve scratch; capacity persists across requests, so the
+/// warm path allocates nothing.
 struct ScoreWorkspace {
   ScoreAccumulator acc;
   std::vector<double> products;
-
-  void BindPool(WorkspacePool* pool) { acc.BindPool(pool); }
 
   /// Product buffer of at least `n` doubles.
   double* EnsureProducts(size_t n) {
@@ -173,8 +158,7 @@ struct ScoreWorkspace {
 };
 
 /// The fallback workspace for direct recommender calls that did not
-/// thread one through the query (tests, lazy benches): one per thread,
-/// backed by the process-wide pool.
+/// thread one through the query (tests, lazy benches): one per thread.
 ScoreWorkspace& ThreadLocalWorkspace();
 
 inline ScoreWorkspace& ResolveWorkspace(ScoreWorkspace* from_query) {

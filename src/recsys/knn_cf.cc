@@ -79,13 +79,6 @@ double UserKnnRecommender::Similarity(UserId a, UserId b) const {
                       matrix_->UserNormSquared(b));
 }
 
-std::vector<Scored> UserKnnRecommender::RecommendCandidates(
-    const CandidateQuery& query) const {
-  std::vector<Scored> out;
-  RecommendCandidatesInto(query, &out);
-  return out;
-}
-
 void UserKnnRecommender::RecommendCandidatesInto(
     const CandidateQuery& query, std::vector<Scored>* out) const {
   out->clear();
@@ -207,13 +200,6 @@ double ItemKnnRecommender::Similarity(ItemId a, ItemId b) const {
   return SparseCosine(matrix_->UsersOf(a), matrix_->UsersOf(b),
                       matrix_->ItemNormSquared(a),
                       matrix_->ItemNormSquared(b));
-}
-
-std::vector<Scored> ItemKnnRecommender::RecommendCandidates(
-    const CandidateQuery& query) const {
-  std::vector<Scored> out;
-  RecommendCandidatesInto(query, &out);
-  return out;
 }
 
 void ItemKnnRecommender::RecommendCandidatesInto(

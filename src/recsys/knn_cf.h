@@ -58,8 +58,6 @@ class UserKnnRecommender : public Recommender {
   /// (index-free) instances serve live similarities, so every user is
   /// reported affected.
   spa::Status Refresh(RefreshOutcome* outcome) override;
-  std::vector<Scored> RecommendCandidates(
-      const CandidateQuery& query) const override;
   void RecommendCandidatesInto(const CandidateQuery& query,
                                std::vector<Scored>* out) const override;
   std::string name() const override { return "UserKNN"; }
@@ -88,8 +86,6 @@ class ItemKnnRecommender : public Recommender {
   /// mutations; affected users = everyone holding a rebuilt item
   /// (their scores sum over their own items' neighbor rows).
   spa::Status Refresh(RefreshOutcome* outcome) override;
-  std::vector<Scored> RecommendCandidates(
-      const CandidateQuery& query) const override;
   void RecommendCandidatesInto(const CandidateQuery& query,
                                std::vector<Scored>* out) const override;
   std::string name() const override { return "ItemKNN"; }

@@ -101,15 +101,14 @@ void PopularityRecommender::Rerank(std::vector<size_t> stale,
   }
 }
 
-std::vector<Scored> PopularityRecommender::RecommendCandidates(
-    const CandidateQuery& query) const {
-  std::vector<Scored> out;
-  if (matrix_ == nullptr) return out;
+void PopularityRecommender::RecommendCandidatesInto(
+    const CandidateQuery& query, std::vector<Scored>* out) const {
+  out->clear();
+  if (matrix_ == nullptr) return;
   for (const Scored& candidate : ranked_) {
-    if (out.size() >= query.k) break;
-    if (query.Admits(matrix_, candidate.item)) out.push_back(candidate);
+    if (out->size() >= query.k) break;
+    if (query.Admits(matrix_, candidate.item)) out->push_back(candidate);
   }
-  return out;
 }
 
 }  // namespace spa::recsys

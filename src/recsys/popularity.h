@@ -25,8 +25,8 @@ class PopularityRecommender : public Recommender {
   /// so every user is reported affected whenever the matrix moved; a
   /// clean refresh reports nothing.
   spa::Status Refresh(RefreshOutcome* outcome) override;
-  std::vector<Scored> RecommendCandidates(
-      const CandidateQuery& query) const override;
+  void RecommendCandidatesInto(const CandidateQuery& query,
+                               std::vector<Scored>* out) const override;
   std::string name() const override { return "Popularity"; }
 
  private:

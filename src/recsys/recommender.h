@@ -102,18 +102,19 @@ class Recommender {
   }
 
   /// Top-k items under the query's candidate policy, highest score
-  /// first (ties broken by ascending item id).
-  virtual std::vector<Scored> RecommendCandidates(
-      const CandidateQuery& query) const = 0;
-
-  /// Allocation-aware variant: writes the same candidates into `*out`
+  /// first (ties broken by ascending item id), written into `*out`
   /// (replacing its contents) so a pooled caller reuses the vector's
-  /// capacity across requests. The base default wraps
-  /// RecommendCandidates; hot-path components override it to score
-  /// through `query.workspace` without touching the heap.
+  /// capacity across requests. Accumulating components score through
+  /// `query.workspace`, so a warm call does not touch the heap.
   virtual void RecommendCandidatesInto(const CandidateQuery& query,
-                                       std::vector<Scored>* out) const {
-    *out = RecommendCandidates(query);
+                                       std::vector<Scored>* out) const = 0;
+
+  /// RecommendCandidatesInto into a fresh vector.
+  std::vector<Scored> RecommendCandidates(
+      const CandidateQuery& query) const {
+    std::vector<Scored> out;
+    RecommendCandidatesInto(query, &out);
+    return out;
   }
 
   virtual std::string name() const = 0;

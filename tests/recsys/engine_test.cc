@@ -1,8 +1,11 @@
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "recsys/engine.h"
+#include "recsys/kernels.h"
 #include "recsys/knn_cf.h"
 #include "recsys/popularity.h"
 #include "recsys/request.h"
@@ -417,6 +420,73 @@ TEST_F(EngineTest, HugeKSaturatesTheOverfetchInsteadOfWrapping) {
       EXPECT_EQ(huge.value().items[i].score, bounded.value().items[i].score);
     }
   }
+}
+
+TEST_F(EngineTest, ExplainLeavesItemsAndScoresBitwiseUnchanged) {
+  // The explanation breakdown rides on the serving blend: asking for
+  // it must not move an item or flip a score bit, with or without the
+  // emotional stage, under either kernel backend.
+  // Uneven weights on top of the two communities, so normalized
+  // contributions are not round numbers and blended items collect
+  // products from both components.
+  for (UserId u = 0; u < 30; ++u) {
+    for (ItemId i = 0; i < 30; ++i) {
+      if ((u * 5 + i * 3) % 7 < 2) {
+        const double weight =
+            1.0 + 0.37 * static_cast<double>((u * 11 + i * 13) % 9);
+        matrix_.Add(u, i, weight);
+      }
+    }
+  }
+  const UserId users = static_cast<UserId>(matrix_.user_count());
+  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
+  if (kernels::SupportsAvx2()) backends.push_back(kernels::Backend::kAvx2);
+  for (const bool with_sum : {false, true}) {
+    if (with_sum) {
+      for (UserId u = 0; u < users; ++u) {
+        SetSensibility(u, eit::EmotionalAttribute::kEnthusiastic,
+                       0.3 + 0.02 * static_cast<double>(u));
+      }
+    }
+    EngineConfig config;
+    config.response_cache_capacity = 0;
+    auto engine = MakeEngine(config);
+    for (ItemId item = 0; item < 30; ++item) {
+      EmotionProfile profile{};
+      profile[static_cast<size_t>(
+          eit::EmotionalAttribute::kEnthusiastic)] =
+          static_cast<double>((item * 7) % 30) / 30.0;
+      engine->SetItemEmotionProfile(item, profile);
+    }
+    for (const kernels::Backend backend : backends) {
+      kernels::SetBackend(backend);
+      for (UserId u = 0; u < users; ++u) {
+        RecommendRequest request;
+        request.user = u;
+        request.k = 10;
+        request.exclude_seen = ExcludeSeen::kNo;
+        const auto plain = engine->Recommend(request);
+        request.explain = true;
+        const auto explained = engine->Recommend(request);
+        ASSERT_TRUE(plain.ok());
+        ASSERT_TRUE(explained.ok());
+        EXPECT_TRUE(explained.value().explained);
+        EXPECT_EQ(plain.value().emotion_applied, with_sum) << "user " << u;
+        EXPECT_EQ(explained.value().emotion_applied, with_sum);
+        const auto& lhs = plain.value().items;
+        const auto& rhs = explained.value().items;
+        ASSERT_FALSE(lhs.empty()) << "user " << u;
+        ASSERT_EQ(lhs.size(), rhs.size()) << "user " << u;
+        for (size_t i = 0; i < lhs.size(); ++i) {
+          EXPECT_EQ(lhs[i].item, rhs[i].item) << "user " << u;
+          EXPECT_EQ(std::bit_cast<uint64_t>(lhs[i].score),
+                    std::bit_cast<uint64_t>(rhs[i].score))
+              << "user " << u << " rank " << i;
+        }
+      }
+    }
+  }
+  kernels::SetBackend(kernels::Backend::kAuto);
 }
 
 }  // namespace

@@ -227,10 +227,12 @@ TEST(ScoreAccumulatorTest, MatchesUnorderedMapSumsAndFirstTouchOrder) {
     for (size_t i = 0; i < adds; ++i) {
       const ItemId item = item_dist(rng);
       const double delta = w_dist(rng);
-      acc.Add(item, delta);
+      const size_t slot = acc.Add(item, delta);
       auto [it, inserted] = reference.emplace(item, 0.0);
       if (inserted) first_touch.push_back(item);
       it->second += delta;
+      ASSERT_LT(slot, first_touch.size());
+      EXPECT_EQ(first_touch[slot], item) << "round " << round;
     }
     ASSERT_EQ(acc.size(), reference.size()) << "round " << round;
     for (size_t i = 0; i < acc.size(); ++i) {
@@ -255,12 +257,14 @@ TEST(ScoreAccumulatorTest, GrowthPreservesSumsBitwise) {
   std::uniform_real_distribution<double> w_dist(-1.0, 1.0);
   for (ItemId item = 0; item < 3000; ++item) {
     const double delta = w_dist(rng);
-    acc.Add(item, delta);
+    // Items arrive in id order, so each one's slot is its id.
+    ASSERT_EQ(acc.Add(item, delta), static_cast<size_t>(item));
     reference.emplace(item, 0.0);
     first_touch.push_back(item);
     reference[item] += delta;
     if (item % 7 == 0) {
-      acc.Add(item / 2, 0.25);  // revisit an earlier slot
+      // Revisit an earlier slot.
+      ASSERT_EQ(acc.Add(item / 2, 0.25), static_cast<size_t>(item / 2));
       reference[item / 2] += 0.25;
     }
   }

@@ -1,4 +1,5 @@
 #include <memory>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "recsys/content_based.h"
@@ -172,18 +173,31 @@ TEST(CandidateQueryTest, ExclusionAndAllowlistCompose) {
   EXPECT_TRUE(query.Admits(&m, 10));
 }
 
-TEST(HybridTest, ComponentDepthConfigurable) {
+TEST(HybridTest, ComponentContributesExactlyItsTopComponentDepth) {
+  // More candidates than the blend depth: the hybrid blends only the
+  // component's top kComponentDepth, in the component's order.
   InteractionMatrix m;
-  m.Add(1, 10, 3.0);
-  m.Add(1, 11, 2.0);
-  m.Add(2, 12, 1.0);
-  HybridRecommender rec(HybridConfig{.component_depth = 1});
+  const size_t items = kComponentDepth + 20;
+  for (size_t i = 0; i < items; ++i) {
+    m.Add(1, static_cast<ItemId>(i), 1.0 + static_cast<double>(i));
+  }
+  HybridRecommender rec;
   rec.AddComponent(std::make_unique<PopularityRecommender>(), 1.0);
+  PopularityRecommender pop;
   ASSERT_TRUE(rec.Fit(m).ok());
-  // Depth 1: each component surfaces only its single best candidate.
-  const auto recs = RecommendTopK(rec, 2, 10);
-  ASSERT_EQ(recs.size(), 1u);
-  EXPECT_EQ(recs[0].item, 10);
+  ASSERT_TRUE(pop.Fit(m).ok());
+  CandidateQuery query;
+  query.user = 1;
+  query.k = items;
+  query.exclude_seen = ExcludeSeen::kNo;
+  ASSERT_EQ(pop.RecommendCandidates(query).size(), items);
+  const auto recs = rec.RecommendCandidates(query);
+  query.k = kComponentDepth;
+  const auto top = pop.RecommendCandidates(query);
+  ASSERT_EQ(recs.size(), kComponentDepth);
+  for (size_t i = 0; i < kComponentDepth; ++i) {
+    EXPECT_EQ(recs[i].item, top[i].item) << "rank " << i;
+  }
 }
 
 TEST(HybridTest, ShortComponentListKeepsWeakestCandidateRanked) {
@@ -209,7 +223,7 @@ TEST(HybridTest, ShortComponentListKeepsWeakestCandidateRanked) {
   EXPECT_GT(recs[1].score, recs[2].score);
 }
 
-TEST(HybridTest, BlendCandidatesExposesContributions) {
+TEST(HybridTest, BlendFetchedIntoExposesContributions) {
   const InteractionMatrix m = MakeTwoCommunityMatrix();
   HybridRecommender rec;
   rec.AddComponent(std::make_unique<UserKnnRecommender>(), 0.5);
@@ -218,10 +232,23 @@ TEST(HybridTest, BlendCandidatesExposesContributions) {
   CandidateQuery query;
   query.user = 0;
   query.k = 5;
-  const auto blended = rec.BlendCandidates(query);
+  std::vector<std::vector<Scored>> fetched;
+  rec.FetchComponentCandidatesInto(query, &fetched);
+  std::vector<HybridRecommender::Blended> blended;
+  std::vector<HybridRecommender::Blended> plain;
+  rec.BlendFetchedInto(fetched, /*track_contributions=*/true, nullptr,
+                       &blended);
+  rec.BlendFetchedInto(fetched, /*track_contributions=*/false, nullptr,
+                       &plain);
   ASSERT_FALSE(blended.empty());
-  for (const auto& b : blended) {
+  ASSERT_EQ(blended.size(), plain.size());
+  for (size_t i = 0; i < blended.size(); ++i) {
+    const auto& b = blended[i];
     ASSERT_EQ(b.contributions.size(), 2u);
+    EXPECT_TRUE(plain[i].contributions.empty());
+    // Tracking changes neither the order nor a score bit.
+    EXPECT_EQ(b.item, plain[i].item);
+    EXPECT_EQ(b.score, plain[i].score);
     double sum = 0.0;
     for (double c : b.contributions) sum += c;
     EXPECT_NEAR(sum, b.score, 1e-12);

@@ -546,10 +546,10 @@ class GatedRecommender : public Recommender {
     outcome->all_users = true;
     return spa::Status::OK();
   }
-  std::vector<Scored> RecommendCandidates(
-      const CandidateQuery& query) const override {
+  void RecommendCandidatesInto(const CandidateQuery& query,
+                               std::vector<Scored>* out) const override {
     gate_->WaitUntilOpen();
-    return {{static_cast<ItemId>(query.user % 3), 1.0}};
+    out->assign({{static_cast<ItemId>(query.user % 3), 1.0}});
   }
   std::string name() const override { return "gated"; }
 

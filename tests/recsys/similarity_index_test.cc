@@ -3,7 +3,6 @@
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
-#include "recsys/engine.h"
 #include "recsys/knn_cf.h"
 #include "recsys/popularity.h"
 #include "recsys/recsys_test_util.h"
@@ -265,22 +264,6 @@ TEST(SimilarityIndexDeathTest, ItemKnnRejectsStaleIndex) {
   ASSERT_TRUE(rec.Fit(m).ok());
   m.Add(5, 2, 1.0);
   EXPECT_DEATH(RecommendTopK(rec, 5, 3), "stale ItemKNN");
-}
-
-TEST(EngineIndexStatsTest, EngineSurfacesComponentIndexStats) {
-  const InteractionMatrix m = MakeTwoCommunityMatrix();
-  RecsysEngine engine;
-  engine.AddComponent(std::make_unique<UserKnnRecommender>(), 0.6);
-  engine.AddComponent(std::make_unique<PopularityRecommender>(), 0.4);
-  EXPECT_TRUE(engine.index_stats().empty());  // nothing fitted yet
-  ASSERT_TRUE(engine.Fit(m).ok());
-
-  const auto stats = engine.index_stats();
-  ASSERT_EQ(stats.size(), 1u);  // popularity keeps no index
-  EXPECT_EQ(stats[0].component, "UserKNN");
-  EXPECT_EQ(stats[0].stats.rows, m.user_count());
-  EXPECT_EQ(stats[0].stats.matrix_version, m.version());
-  EXPECT_GT(stats[0].stats.memory_bytes, 0u);
 }
 
 }  // namespace
