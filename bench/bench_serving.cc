@@ -177,10 +177,10 @@ KnnIndexPoint RunKnnColdScenario(const char* scenario,
     return point;
   }
   point.indexed_fit_seconds = SecondsSince(start);
-  if (indexed.index_stats() != nullptr) {
-    point.index_build_seconds = indexed.index_stats()->build_seconds;
-    point.index_bytes = indexed.index_stats()->memory_bytes;
-    point.index_entries = indexed.index_stats()->entries;
+  if (indexed.index() != nullptr) {
+    point.index_build_seconds = indexed.index()->stats().build_seconds;
+    point.index_bytes = indexed.index()->stats().memory_bytes;
+    point.index_entries = indexed.index()->stats().entries;
   }
 
   auto serve_all = [&](const Rec& rec,
@@ -1161,14 +1161,14 @@ int Main(int argc, char** argv) {
   const RouterResult router_result =
       RunRouterScenario(users, items, k, flags.seed + 3);
 
-  // ---- staged dataflow: bitwise parity vs per-request serving ----------
+  // ---- micro-batch: bitwise parity vs per-request serving --------------
   // Both passes compute from scratch (cache cleared before each) at
   // the same pinned versions; the responses must match byte-for-byte.
-  PrintHeader("Staged dataflow - parity vs per-request RecommendBatch");
+  PrintHeader("Micro-batch - parity vs per-request RecommendBatch");
   cached_engine->ClearResponseCache();
   recsys::BatchPin staged_pin;
   const auto staged_results =
-      cached_engine->RecommendBatchStaged(requests, &staged_pin);
+      cached_engine->RecommendMicroBatch(requests, &staged_pin);
   cached_engine->ClearResponseCache();
   recsys::BatchPin batch_pin;
   const auto batch_results =
@@ -1178,7 +1178,7 @@ int Main(int argc, char** argv) {
       staged_pin.fit_epoch == batch_pin.fit_epoch &&
       staged_pin.matrix_version == batch_pin.matrix_version &&
       staged_pin.sum_version == batch_pin.sum_version;
-  std::printf("staged vs RecommendBatch (%zu requests): %s\n",
+  std::printf("micro-batch vs RecommendBatch (%zu requests): %s\n",
               requests.size(), staged_parity ? "OK" : "MISMATCH");
 
   // ---- JSON ---------------------------------------------------------------
@@ -1318,7 +1318,7 @@ int Main(int argc, char** argv) {
     std::fprintf(json, "    ]\n  },\n");
     // Hierarchical profiler export (schema: docs/METRICS.md): the
     // leveled L1/L2/L3 item catalog of the cached engine plus the
-    // staged-vs-RecommendBatch parity verdict.
+    // micro-batch-vs-RecommendBatch parity verdict.
     const spa::Profiler& profiler = cached_engine->profiler();
     constexpr spa::ProfilerLevel kExportLevel = spa::ProfilerLevel::kL3;
     std::fprintf(json,
@@ -1356,7 +1356,7 @@ int Main(int argc, char** argv) {
   // Routed serving must match the single-process engine bitwise at the
   // same pinned versions — the router tier's whole contract.
   if (!router_result.parity) return 1;
-  // The staged dataflow must reproduce per-request serving
+  // The micro-batch path must reproduce the parallel batch
   // byte-for-byte.
   if (!staged_parity) return 1;
   return cache_parity ? 0 : 1;

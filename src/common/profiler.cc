@@ -27,9 +27,6 @@ constexpr ItemMeta kItemMeta[kProfilerItemCount] = {
     {"rerank.sort", ProfilerLevel::kL3},
     {"apply.user_shard_group", ProfilerLevel::kL3},
     {"apply.item_shard_group", ProfilerLevel::kL3},
-    {"workspace.acquire", ProfilerLevel::kL3},
-    {"workspace.release", ProfilerLevel::kL3},
-    {"kernel.score_accumulate", ProfilerLevel::kL3},
 };
 
 }  // namespace

@@ -68,9 +68,6 @@ enum class ProfilerItem : int {
   kRerankSort,           ///< the sort + truncate of one request
   kApplyUserShardGroup,  ///< one user-shard group's batch apply
   kApplyItemShardGroup,  ///< one item-shard group's batch apply
-  kWorkspaceAcquire,     ///< pooled serve-scratch checkout
-  kWorkspaceRelease,     ///< pooled serve-scratch return
-  kKernelScoreAccumulate,  ///< kernel blend accumulation of one request
   kNumItems,             ///< sentinel, not an item
 };
 

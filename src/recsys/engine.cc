@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "common/clock.h"
 #include "common/hash.h"
-#include "recsys/kernels.h"
 
 namespace spa::recsys {
 
@@ -45,10 +44,9 @@ class ItemTimer {
 
 }  // namespace
 
-/// Per-request intermediate state between the serving stages. Owned by
-/// the caller (`RecommendIntoImpl` borrows a pooled one;
-/// `RecommendBatchStaged` keeps one per request for the whole
-/// micro-batch).
+/// Per-request intermediate state between the serving stages. Each
+/// serving thread keeps one (`RecommendIntoImpl`'s `thread_local`) and
+/// reuses it for every request it serves.
 struct RecsysEngine::ServeState {
   struct Ranked {
     double score = 0.0;
@@ -58,59 +56,24 @@ struct RecsysEngine::ServeState {
   };
   bool explain = false;
   CandidateQuery query;  ///< borrows the request's item sets
-  /// Scoring scratch threaded into the stages via `query.workspace`
-  /// (null = the thread-local fallback). Only live within one stage
-  /// call, so staged batches share a single workspace across requests.
-  kernels::ScoreWorkspace* workspace = nullptr;
   std::vector<std::vector<Scored>> fetched;
+  std::vector<double> component_seconds;  ///< per-component fetch wall
   std::vector<HybridRecommender::Blended> blended;
+  /// Per-component shares, row `Blended::slot` (explain requests only).
+  std::vector<double> contributions;
   bool apply_emotion = false;
   std::vector<Ranked> ranked;
   RecommendResponse response;
 
-  /// Readies the state for a (possibly recycled) request: containers
-  /// are cleared, not shrunk — their capacities are the whole point of
-  /// pooling. The stages reset everything else by assignment.
+  /// Readies the state for the next request: containers are cleared,
+  /// not shrunk — their capacities are why the state is reused. The
+  /// stages reset everything else by assignment.
   void Reset(bool explain_flag) {
     explain = explain_flag;
     ranked.clear();
     response.items.clear();
   }
 };
-
-/// The pooled unit the per-request serve path recycles: per-request stage
-/// state plus the kernel scoring workspace, both keeping their
-/// capacities between requests.
-struct RecsysEngine::ServeScratch {
-  ServeState state;
-  kernels::ScoreWorkspace ws;
-};
-
-std::unique_ptr<RecsysEngine::ServeScratch> RecsysEngine::AcquireScratch()
-    const {
-  ItemTimer timer(profiler_, ProfilerItem::kWorkspaceAcquire);
-  std::unique_ptr<ServeScratch> scratch;
-  {
-    std::lock_guard<std::mutex> lock(scratch_mu_);
-    if (!scratch_free_.empty()) {
-      scratch = std::move(scratch_free_.back());
-      scratch_free_.pop_back();
-    }
-  }
-  if (scratch == nullptr) scratch = std::make_unique<ServeScratch>();
-  timer.Stop();
-  return scratch;
-}
-
-void RecsysEngine::ReleaseScratch(
-    std::unique_ptr<ServeScratch> scratch) const {
-  ItemTimer timer(profiler_, ProfilerItem::kWorkspaceRelease);
-  std::lock_guard<std::mutex> lock(scratch_mu_);
-  scratch_free_.push_back(std::move(scratch));
-  timer.Stop();
-}
-
-RecsysEngine::~RecsysEngine() = default;
 
 RecsysEngine::RecsysEngine(EngineConfig config)
     : config_(config),
@@ -280,10 +243,10 @@ spa::Result<LiveUpdateReport> RecsysEngine::ApplyInteractions(
   // into the cache at the post-apply versions while we still hold the
   // exclusive serve lock, so no reader ever observes the invalidation
   // as a miss. The serve path re-enters through RecommendIntoImpl,
-  // whose internals take only leaf locks (cache_mutex_, scratch_mu_,
-  // frequency shards) — never serve_mutex_ — so re-entry under the
-  // writer lock is safe. rewarm_in_progress_ suppresses frequency
-  // touches so the re-warm traffic cannot inflate its own hot set.
+  // whose internals take only leaf locks (cache_mutex_, frequency
+  // shards) — never serve_mutex_ — so re-entry under the writer lock
+  // is safe. rewarm_in_progress_ suppresses frequency touches so the
+  // re-warm traffic cannot inflate its own hot set.
   if (!rewarm.empty()) {
     const auto rewarm_start = Clock::now();
     std::sort(rewarm.begin(), rewarm.end(),
@@ -546,20 +509,19 @@ spa::Result<RecommendResponse> RecsysEngine::RecommendFallback(
   return response;
 }
 
-void RecsysEngine::AdmitRequest(const RecommendRequest& request,
-                                const sum::SumSnapshotPtr& batch_snapshot,
-                                RequestContext* ctx,
-                                RecommendResponse* hit_out) const {
-  ctx->status = ValidateRequest(request);
-  if (!ctx->status.ok()) {
-    ctx->done = true;
-    return;
-  }
-  if (!fitted_) {
-    ctx->status = spa::Status::FailedPrecondition(
+spa::Status RecsysEngine::RecommendIntoImpl(
+    const RecommendRequest& request,
+    const sum::SumSnapshotPtr& batch_snapshot,
+    RecommendResponse* out) const {
+  ItemTimer request_timer(profiler_, ProfilerItem::kRequestServe);
+  spa::Status status = ValidateRequest(request);
+  if (status.ok() && !fitted_) {
+    status = spa::Status::FailedPrecondition(
         "engine not fitted; call Fit() after assembling the stack");
-    ctx->done = true;
-    return;
+  }
+  if (!status.ok()) {
+    request_timer.Stop();
+    return status;
   }
 
   // Pin the emotional context for the whole request: the caller's
@@ -572,17 +534,19 @@ void RecsysEngine::AdmitRequest(const RecommendRequest& request,
                    ? batch_snapshot
                    : (sums_ != nullptr ? sums_->snapshot() : nullptr);
   }
-
+  const sum::SmartUserModel* model = nullptr;
+  uint64_t sum_user_version = 0;
   if (snapshot != nullptr) {
     // GetOrNull, not Get: cold users (no SUM yet) are common, and the
     // NotFound status Get formats would be a per-request allocation.
-    ctx->model = snapshot->GetOrNull(request.user);
-    ctx->sum_user_version = snapshot->UserVersion(request.user);
+    model = snapshot->GetOrNull(request.user);
+    sum_user_version = snapshot->UserVersion(request.user);
   }
-  ctx->snapshot = std::move(snapshot);
 
-  ctx->cacheable = config_.response_cache_capacity > 0 && !overridden;
-  if (ctx->cacheable) {
+  const bool cacheable =
+      config_.response_cache_capacity > 0 && !overridden;
+  uint64_t fingerprint = 0;
+  if (cacheable) {
     // Every cacheable lookup is one access in the user frequency tier
     // (hit or miss — the tier measures demand, not cache behavior).
     // Writer-lane re-warm recomputes are synthetic and do not count.
@@ -590,53 +554,40 @@ void RecsysEngine::AdmitRequest(const RecommendRequest& request,
       user_freq_.Touch(static_cast<uint64_t>(request.user));
       MaybeDecayFrequencies();
     }
-    ctx->fingerprint = FingerprintRequest(request);
+    fingerprint = FingerprintRequest(request);
     ItemTimer timer(profiler_, ProfilerItem::kStageCacheLookup);
-    const bool hit = CacheLookupInto(ctx->fingerprint, request,
-                                     ctx->sum_user_version, hit_out);
+    const bool hit =
+        CacheLookupInto(fingerprint, request, sum_user_version, out);
     timer.Stop();
-    if (hit) ctx->done = true;
+    if (hit) {
+      request_timer.Stop();
+      return spa::Status::OK();
+    }
   }
-}
 
-spa::Status RecsysEngine::RecommendIntoImpl(
-    const RecommendRequest& request,
-    const sum::SumSnapshotPtr& batch_snapshot,
-    RecommendResponse* out) const {
-  ItemTimer request_timer(profiler_, ProfilerItem::kRequestServe);
-  RequestContext ctx;
-  AdmitRequest(request, batch_snapshot, &ctx, out);
-  if (ctx.done) {
-    request_timer.Stop();
-    return ctx.status;
-  }
-  // Uncached: run the four stages on a pooled scratch, then copy the
-  // response out (the scratch keeps its capacities for the next
-  // request; the caller's `out` keeps its own).
-  std::unique_ptr<ServeScratch> scratch = AcquireScratch();
-  ServeState& state = scratch->state;
+  // Uncached: run the four stages on this thread's serve state, then
+  // copy the response out (the state keeps its capacities for the
+  // thread's next request; the caller's `out` keeps its own). No serve
+  // re-enters itself on one thread, so one state per thread suffices.
+  thread_local ServeState state;
   state.Reset(request.explain);
-  state.workspace = &scratch->ws;
   ServeCandidates(request, &state);
   ServeBlend(&state);
-  ServeRerank(request, ctx.model, &state);
+  ServeRerank(request, model, &state);
   ServeExplain(request, &state);
-  if (ctx.cacheable) {
-    CacheInsert(ctx.fingerprint, request, ctx.sum_user_version,
-                state.response);
+  if (cacheable) {
+    CacheInsert(fingerprint, request, sum_user_version, state.response);
   }
   *out = state.response;
-  ReleaseScratch(std::move(scratch));
   request_timer.Stop();
   return spa::Status::OK();
 }
 
-// ---- the staged serving dataflow -------------------------------------------
+// ---- the serving stages ----------------------------------------------------
 //
-// `RecommendIntoImpl` composes the four stages back-to-back — that IS
-// the per-request path, so the staged batch executor below is
-// byte-identical to it by construction: both run the same stage
-// methods, in the same order, on per-request state.
+// `RecommendIntoImpl` composes the four stages back-to-back; it is the
+// only caller, so every entry point (single, batch, micro-batch,
+// re-warm) runs the same arithmetic in the same order.
 
 void RecsysEngine::ServeCandidates(const RecommendRequest& request,
                                    ServeState* state) const {
@@ -653,31 +604,26 @@ void RecsysEngine::ServeCandidates(const RecommendRequest& request,
   state->query.candidate_items = request.candidate_items.has_value()
                                      ? &*request.candidate_items
                                      : nullptr;
-  state->query.workspace = state->workspace;
   ItemTimer timer(profiler_, ProfilerItem::kStageCandidateGen);
-  std::vector<double> component_seconds;
   hybrid_->FetchComponentCandidatesInto(state->query, &state->fetched,
-                                        &component_seconds);
+                                        &state->component_seconds);
   timer.Stop();
-  for (const double seconds : component_seconds) {
+  for (const double seconds : state->component_seconds) {
     profiler_.Record(ProfilerItem::kCandidateComponent, seconds);
   }
 }
 
 void RecsysEngine::ServeBlend(ServeState* state) const {
   ItemTimer timer(profiler_, ProfilerItem::kStageBlend);
-  ItemTimer kernel_timer(profiler_,
-                         ProfilerItem::kKernelScoreAccumulate);
-  hybrid_->BlendFetchedInto(state->fetched,
-                            /*track_contributions=*/state->explain,
-                            state->workspace, &state->blended);
-  kernel_timer.Stop();
+  hybrid_->BlendFetchedInto(
+      state->fetched, state->explain ? &state->contributions : nullptr,
+      &state->blended);
   if (state->blended.size() > state->query.k) {
     state->blended.resize(state->query.k);
   }
   timer.Stop();
-  // `fetched` is NOT cleared here: a pooled state keeps the component
-  // lists' capacities so the next request's fetch allocates nothing.
+  // `fetched` is NOT cleared here: the thread's state keeps the
+  // component lists' capacities so the next fetch allocates nothing.
 }
 
 void RecsysEngine::ServeRerank(const RecommendRequest& request,
@@ -761,11 +707,13 @@ void RecsysEngine::ServeExplain(const RecommendRequest& request,
       } else {
         item.breakdown.base_share = b.score;
       }
-      item.breakdown.components.reserve(hybrid_->component_count());
-      for (size_t ci = 0; ci < hybrid_->component_count(); ++ci) {
+      const size_t width = hybrid_->component_count();
+      const double* shares = &state->contributions[b.slot * width];
+      item.breakdown.components.reserve(width);
+      for (size_t ci = 0; ci < width; ++ci) {
         item.breakdown.components.push_back(
             {hybrid_->component_name(ci), hybrid_->component_weight(ci),
-             b.contributions[ci]});
+             shares[ci]});
       }
     }
     response.items.push_back(std::move(item));
@@ -791,6 +739,15 @@ sum::SumSnapshotPtr RecsysEngine::PinBatch(BatchPin* pin) const {
   return batch_snapshot;
 }
 
+void RecsysEngine::ServeResult(const RecommendRequest& request,
+                               const sum::SumSnapshotPtr& batch_snapshot,
+                               spa::Result<RecommendResponse>* result) const {
+  RecommendResponse response;
+  spa::Status status = RecommendIntoImpl(request, batch_snapshot, &response);
+  if (status.ok()) *result = std::move(response);
+  else *result = std::move(status);
+}
+
 std::vector<spa::Result<RecommendResponse>> RecsysEngine::RecommendBatch(
     const std::vector<RecommendRequest>& requests, BatchPin* pin) {
   std::vector<spa::Result<RecommendResponse>> results(
@@ -811,17 +768,13 @@ std::vector<spa::Result<RecommendResponse>> RecsysEngine::RecommendBatch(
   if (requests.empty()) return results;
   ParallelFor(pool, requests.size(),
               [this, &requests, &results, &batch_snapshot](size_t i) {
-                RecommendResponse response;
-                spa::Status status =
-                    RecommendIntoImpl(requests[i], batch_snapshot, &response);
-                if (status.ok()) results[i] = std::move(response);
-                else results[i] = std::move(status);
+                ServeResult(requests[i], batch_snapshot, &results[i]);
               });
   return results;
 }
 
 std::vector<spa::Result<RecommendResponse>>
-RecsysEngine::RecommendBatchStaged(
+RecsysEngine::RecommendMicroBatch(
     const std::vector<RecommendRequest>& requests, BatchPin* pin) const {
   std::vector<spa::Result<RecommendResponse>> results(
       requests.size(),
@@ -829,65 +782,15 @@ RecsysEngine::RecommendBatchStaged(
           spa::Status::Internal("request not served")));
   // Same consistency discipline as RecommendBatch: one shared hold and
   // one pinned snapshot for the whole micro-batch, so the BatchPin
-  // means the same thing on both paths.
+  // means the same thing on both paths. Only where the loop runs
+  // differs: here, in order on the calling thread.
   std::shared_lock lock(serve_mutex_);
   const sum::SumSnapshotPtr batch_snapshot = PinBatch(pin);
   if (requests.empty()) return results;
-
   ItemTimer batch_timer(profiler_, ProfilerItem::kBatchServe);
-  const size_t n = requests.size();
-
-  // Stage-major execution: every request clears stage N before any
-  // request enters stage N+1. A request that failed validation or hit
-  // the cache at admission skips the serve stages. Note the one
-  // intended difference from the per-request path: duplicate requests in
-  // one batch each compute (all admissions probe the cache before any
-  // insert) — deterministically the same bytes, so only the hit/miss
-  // counters can differ, never a response.
-  std::vector<RequestContext> contexts(n);
-  std::vector<RecommendResponse> hits(n);
-  for (size_t i = 0; i < n; ++i) {
-    AdmitRequest(requests[i], batch_snapshot, &contexts[i], &hits[i]);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ServeResult(requests[i], batch_snapshot, &results[i]);
   }
-  // One pooled workspace serves the whole micro-batch: the stages run
-  // request-sequentially, and the accumulator is fully reset by each
-  // stage's Begin, so sharing it never changes a bit.
-  std::unique_ptr<ServeScratch> scratch = AcquireScratch();
-  std::vector<ServeState> states(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (contexts[i].done) continue;
-    states[i].explain = requests[i].explain;
-    states[i].workspace = &scratch->ws;
-    ServeCandidates(requests[i], &states[i]);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (contexts[i].done) continue;
-    ServeBlend(&states[i]);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (contexts[i].done) continue;
-    ServeRerank(requests[i], contexts[i].model, &states[i]);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (contexts[i].done) continue;
-    ServeExplain(requests[i], &states[i]);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (contexts[i].done) {
-      if (contexts[i].status.ok()) {
-        results[i] = std::move(hits[i]);
-      } else {
-        results[i] = contexts[i].status;
-      }
-      continue;
-    }
-    if (contexts[i].cacheable) {
-      CacheInsert(contexts[i].fingerprint, requests[i],
-                  contexts[i].sum_user_version, states[i].response);
-    }
-    results[i] = std::move(states[i].response);
-  }
-  ReleaseScratch(std::move(scratch));
   batch_timer.Stop();
   return results;
 }

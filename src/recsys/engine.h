@@ -29,7 +29,7 @@
 /// time or in thread-pool-parallel batches. This is the seam every
 /// scaling layer (sharding, caching, async) plugs into — the streaming
 /// layer (`recsys/serving_pipeline.h`) drains its admission queue
-/// through `RecommendBatchStaged` and its writer lane through
+/// through `RecommendMicroBatch` and its writer lane through
 /// `ApplyInteractions`.
 ///
 /// Emotional context comes from a `sum::SumService`: each request pins
@@ -225,8 +225,6 @@ struct BatchPin {
 class RecsysEngine {
  public:
   explicit RecsysEngine(EngineConfig config = {});
-  /// Out-of-line: the pooled ServeScratch is only complete in the .cc.
-  ~RecsysEngine();
 
   // ---- stack assembly ----------------------------------------------------
   /// Adds a base recommender with its hybrid blend weight.
@@ -275,21 +273,17 @@ class RecsysEngine {
       const std::vector<RecommendRequest>& requests,
       BatchPin* pin = nullptr);
 
-  /// Serves a micro-batch through the **explicit staged dataflow**:
-  /// admit → candidate-gen → blend → rerank → explain, each stage run
-  /// stage-major across the whole batch (every request finishes stage
-  /// N before any request enters stage N+1), sequentially in the
-  /// calling thread. Same locking discipline as `RecommendBatch` — one
-  /// shared-lock hold, one pinned SUM snapshot — and byte-identical
-  /// results at the same `BatchPin`: the stages compose the exact
-  /// per-request arithmetic of `RecommendInto`, in the same order, so
-  /// parity holds by construction (and is pinned by the stage-pipeline
-  /// differential tests). Overlap between micro-batches comes from the
-  /// streaming pipeline's drain workers, which run staged batches
-  /// concurrently on `common/thread_pool`.
-  /// Stage timings land in the engine profiler as L2 items plus one
-  /// L1 `batch.serve` recording per call.
-  std::vector<spa::Result<RecommendResponse>> RecommendBatchStaged(
+  /// Serves a micro-batch in request order on the calling thread. Same
+  /// locking discipline as `RecommendBatch` — one shared-lock hold, one
+  /// pinned SUM snapshot — and the same per-request serve, so results
+  /// are byte-identical at the same `BatchPin` (pinned by the
+  /// stage-pipeline differential tests). A duplicate request in one
+  /// micro-batch hits the cache entry its first copy filled. Overlap
+  /// between micro-batches comes from the streaming pipeline's drain
+  /// workers, which run micro-batches concurrently on
+  /// `common/thread_pool`. Records one L1 `batch.serve` per call, around
+  /// the requests' own `request.serve` and stage items.
+  std::vector<spa::Result<RecommendResponse>> RecommendMicroBatch(
       const std::vector<RecommendRequest>& requests,
       BatchPin* pin = nullptr) const;
 
@@ -391,44 +385,12 @@ class RecsysEngine {
                    uint64_t sum_user_version,
                    const RecommendResponse& response) const;
 
-  /// Per-request admission state threaded through the staged dataflow:
-  /// everything `RecommendIntoImpl` decides before the serve stages run.
-  struct RequestContext {
-    spa::Status status = spa::Status::OK();  ///< admit-time failure
-    bool done = false;          ///< failed, or served from cache
-    sum::SumSnapshotPtr snapshot;  ///< per-request pin (single path)
-    const sum::SmartUserModel* model = nullptr;
-    uint64_t sum_user_version = 0;
-    bool cacheable = false;
-    uint64_t fingerprint = 0;
-  };
-
   /// Per-request intermediate state between serve stages (defined in
-  /// the .cc; sized/POD enough to live in a batch-long vector).
+  /// the .cc; one per serving thread).
   struct ServeState;
-  /// A pooled ServeState plus its scoring workspace — recycled across
-  /// requests so the warm serve path never touches the heap (defined
-  /// in the .cc).
-  struct ServeScratch;
 
-  /// Checks a recycled scratch out of / back into the free list
-  /// (records `workspace.acquire` / `workspace.release`).
-  std::unique_ptr<ServeScratch> AcquireScratch() const;
-  void ReleaseScratch(std::unique_ptr<ServeScratch> scratch) const;
-
-  /// Validation + fitted check + snapshot/model resolution + cache
-  /// probe — the front half of `RecommendIntoImpl`, shared verbatim by
-  /// the per-request and the staged paths. A cache hit is copy-assigned
-  /// into `*hit_out` (and `ctx->done` set). Records `stage.cache_lookup`.
-  void AdmitRequest(const RecommendRequest& request,
-                    const sum::SumSnapshotPtr& batch_snapshot,
-                    RequestContext* ctx,
-                    RecommendResponse* hit_out) const;
-
-  // The serving dataflow, stage by stage. `RecommendIntoImpl` composes
-  // the four sequentially (the per-request path); `RecommendBatchStaged`
-  // runs each across a whole micro-batch before the next. Identical
-  // per-request arithmetic in identical order either way.
+  // The serving dataflow, stage by stage. `RecommendIntoImpl` is the
+  // one place that composes the four.
   void ServeCandidates(const RecommendRequest& request,
                        ServeState* state) const;
   void ServeBlend(ServeState* state) const;
@@ -440,14 +402,21 @@ class RecsysEngine {
 
   /// Serving core; the caller holds the shared serve lock.
   /// `batch_snapshot` (may be null) is the batch-pinned SUM view —
-  /// single requests pass null and pin their own. The response lands
-  /// in `*out` by capacity-reusing copy-assign; the serve stages run
-  /// on a pooled `ServeScratch`, so a warm caller allocates nothing on
-  /// cache hits and only response-copy growth on misses.
+  /// single requests pass null and pin their own. Validates, probes
+  /// the cache (`stage.cache_lookup`) and on a miss runs the stages on
+  /// the thread's `ServeState`. The response lands in `*out` by
+  /// capacity-reusing copy-assign, so a warm caller allocates nothing
+  /// on cache hits and, with explain off, nothing on misses either.
   spa::Status RecommendIntoImpl(
       const RecommendRequest& request,
       const sum::SumSnapshotPtr& batch_snapshot,
       RecommendResponse* out) const;
+
+  /// One batch slot: `RecommendIntoImpl` into a fresh response, stored
+  /// as the slot's result or error. The loop body of both batch paths.
+  void ServeResult(const RecommendRequest& request,
+                   const sum::SumSnapshotPtr& batch_snapshot,
+                   spa::Result<RecommendResponse>* result) const;
 
   /// Pins a batch: the caller holds the shared serve lock. Returns the
   /// SUM snapshot every request of the batch serves against (null
@@ -519,12 +488,6 @@ class RecsysEngine {
   /// EnsurePool call for the parallel shard apply.
   std::mutex pool_mu_;
   ThreadPool* EnsurePool();
-
-  /// Recycled serve scratches (state + workspace), guarded by
-  /// scratch_mu_. Capacities persist across requests — the warm serve
-  /// path performs zero heap allocations.
-  mutable std::mutex scratch_mu_;
-  mutable std::vector<std::unique_ptr<ServeScratch>> scratch_free_;
 };
 
 }  // namespace spa::recsys

@@ -74,15 +74,16 @@ void HybridRecommender::FetchComponentCandidatesInto(
 
 void HybridRecommender::BlendFetchedInto(
     const std::vector<std::vector<Scored>>& fetched,
-    bool track_contributions, kernels::ScoreWorkspace* workspace,
+    std::vector<double>* contributions,
     std::vector<Blended>* blended) const {
   SPA_CHECK(fetched.size() == components_.size());
-  blended->clear();
+  const size_t width = components_.size();
+  if (contributions != nullptr) contributions->clear();
   // Normalize-and-weigh each component list with the kernel and fold
   // it into the accumulator, whose first-touch slots are the blended
   // order before the sort. Contribution tracking records the same
   // kernel products per (slot, component), so it changes no score.
-  kernels::ScoreWorkspace& ws = kernels::ResolveWorkspace(workspace);
+  kernels::ScoreWorkspace& ws = kernels::ThreadLocalWorkspace();
   kernels::ScoreAccumulator& acc = ws.acc;
   acc.Begin(/*expected_items=*/64);
   for (size_t ci = 0; ci < components_.size(); ++ci) {
@@ -108,19 +109,18 @@ void HybridRecommender::BlendFetchedInto(
                                     floor, c.weight, products);
     for (size_t i = 0; i < n; ++i) {
       const size_t slot = acc.Add(scored[i].item, products[i]);
-      if (!track_contributions) continue;
-      if (slot == blended->size()) {
-        blended->emplace_back().contributions.assign(components_.size(),
-                                                     0.0);
+      if (contributions == nullptr) continue;
+      // Slots are dense in first-touch order: a new one is the next row.
+      if (contributions->size() == slot * width) {
+        contributions->resize((slot + 1) * width, 0.0);
       }
-      (*blended)[slot].contributions[ci] += products[i];
+      (*contributions)[slot * width + ci] += products[i];
     }
   }
   const size_t count = acc.size();
   blended->resize(count);
   for (size_t i = 0; i < count; ++i) {
-    (*blended)[i].item = acc.item(i);
-    (*blended)[i].score = acc.score(i);
+    (*blended)[i] = {acc.item(i), acc.score(i), i};
   }
   std::sort(blended->begin(), blended->end(),
             [](const Blended& a, const Blended& b) {
@@ -134,8 +134,7 @@ void HybridRecommender::RecommendCandidatesInto(
   std::vector<std::vector<Scored>> fetched;
   std::vector<Blended> blended;
   FetchComponentCandidatesInto(query, &fetched);
-  BlendFetchedInto(fetched, /*track_contributions=*/false,
-                   query.workspace, &blended);
+  BlendFetchedInto(fetched, /*contributions=*/nullptr, &blended);
   out->clear();
   out->reserve(std::min(query.k, blended.size()));
   for (const Blended& b : blended) {

@@ -32,13 +32,13 @@ class HybridRecommender : public Recommender {
                                std::vector<Scored>* out) const override;
   std::string name() const override { return "WeightedHybrid"; }
 
-  /// One blended candidate with its per-component weighted
-  /// contributions (indexed like components; contributions sum to the
-  /// blended score; empty unless contribution tracking was requested).
+  /// One blended candidate. `slot` is its first-touch position in the
+  /// blend: row `slot` of the contribution buffer holds its
+  /// per-component shares when tracking was requested.
   struct Blended {
     ItemId item = lifelog::kNoItem;
     double score = 0.0;
-    std::vector<double> contributions;
+    size_t slot = 0;
   };
 
   /// Stage half 1: every component's candidates for the query (at
@@ -56,18 +56,19 @@ class HybridRecommender : public Recommender {
 
   /// Stage half 2: min-max-normalizes each component's fetched list
   /// (floor = 1/(n+1), see the implementation comment), accumulates
-  /// the weighted blend on `workspace` (null = a thread-local one)
-  /// through the normalize/weigh kernel, and writes it to `*blended`
-  /// sorted by (score desc, item asc), untruncated. With
-  /// `track_contributions` each candidate also carries its
-  /// per-component share — the engine's explanation path; the scores
-  /// and order are bitwise the same either way, but leave it off on
-  /// the hot path (it allocates one vector per candidate). Pure —
-  /// touches no fitted state beyond component weights, so it may run
-  /// outside the serve lock against pinned fetch results.
+  /// the weighted blend on the thread-local workspace through the
+  /// normalize/weigh kernel, and writes it to `*blended` sorted by
+  /// (score desc, item asc), untruncated. When `contributions` is
+  /// non-null it is refilled with `component_count()` weighted shares
+  /// per blended candidate (row `Blended::slot`; a row sums to that
+  /// candidate's score) — the engine's explanation path. It is the same
+  /// kernel product the score accumulates, so scores and order are
+  /// bitwise the same either way, and the buffer only grows, so a
+  /// recycled one costs no allocation. Pure — touches no fitted state
+  /// beyond component weights, so it may run outside the serve lock
+  /// against pinned fetch results.
   void BlendFetchedInto(const std::vector<std::vector<Scored>>& fetched,
-                        bool track_contributions,
-                        kernels::ScoreWorkspace* workspace,
+                        std::vector<double>* contributions,
                         std::vector<Blended>* blended) const;
 
   size_t component_count() const { return components_.size(); }

@@ -17,8 +17,9 @@
 /// Every kernel here exists in two implementations — a scalar
 /// reference and an AVX2 body — and the two are **bitwise identical**
 /// for every input, which is what lets the engine's differential
-/// parity gates (staged/per-request, cached/recomputed, indexed/lazy,
-/// routed/single-node) keep holding on machines with and without AVX2:
+/// parity gates (micro-batch/per-request, cached/recomputed,
+/// indexed/lazy, routed/single-node) keep holding on machines with and
+/// without AVX2:
 ///
 ///  * reductions fix the lane order: `Dot` accumulates into four
 ///    stride-4 partial sums (lane j takes elements j, j+4, j+8, ...)
@@ -141,11 +142,12 @@ class ScoreAccumulator {
   uint32_t epoch_ = 0;
 };
 
-/// \brief Per-request/per-batch scratch threaded through the serve
-/// stages (`CandidateQuery::workspace`): the score accumulator plus
-/// the kernel product buffer. The engine recycles one inside each
-/// pooled serve scratch; capacity persists across requests, so the
-/// warm path allocates nothing.
+/// \brief The scoring scratch of one thread: the score accumulator
+/// plus the kernel product buffer. Every scorer (the KNN components and
+/// the hybrid blend) borrows the calling thread's `ThreadLocalWorkspace`;
+/// capacity persists across calls, so the warm path allocates nothing.
+/// One thread never nests two scorers: a hybrid's component fetch is
+/// done with the accumulator before its blend begins.
 struct ScoreWorkspace {
   ScoreAccumulator acc;
   std::vector<double> products;
@@ -157,13 +159,8 @@ struct ScoreWorkspace {
   }
 };
 
-/// The fallback workspace for direct recommender calls that did not
-/// thread one through the query (tests, lazy benches): one per thread.
+/// The calling thread's scoring workspace.
 ScoreWorkspace& ThreadLocalWorkspace();
-
-inline ScoreWorkspace& ResolveWorkspace(ScoreWorkspace* from_query) {
-  return from_query != nullptr ? *from_query : ThreadLocalWorkspace();
-}
 
 }  // namespace spa::recsys::kernels
 

@@ -22,7 +22,6 @@ SimilarityIndexConfig IndexConfigFrom(const KnnConfig& config) {
   SimilarityIndexConfig out;
   out.top_n = config.neighbors;
   out.min_similarity = config.min_similarity;
-  out.build_threads = config.index_build_threads;
   out.full_rebuild_fraction = config.refresh_full_rebuild_fraction;
   return out;
 }
@@ -40,10 +39,6 @@ spa::Status UserKnnRecommender::Fit(const InteractionMatrix& matrix) {
         BuildUserSimilarityIndex(matrix, IndexConfigFrom(config_)));
   }
   return spa::Status::OK();
-}
-
-const SimilarityIndexStats* UserKnnRecommender::index_stats() const {
-  return index_ == nullptr ? nullptr : &index_->stats();
 }
 
 spa::Status UserKnnRecommender::Refresh(RefreshOutcome* outcome) {
@@ -85,13 +80,13 @@ void UserKnnRecommender::RecommendCandidatesInto(
   if (matrix_ == nullptr) return;
   const UserId user = query.user;
 
-  // Score through the pooled workspace: neighbor weights are gathered
+  // Score through the thread's workspace: neighbor weights are gathered
   // and scaled by the kernel, then folded into the epoch-cleared
   // accumulator. Admission is checked once per distinct item at
   // harvest — filtering other items never changes an admitted item's
   // += sequence, so the scores are bitwise-identical to the old
   // filter-then-accumulate map.
-  kernels::ScoreWorkspace& ws = kernels::ResolveWorkspace(query.workspace);
+  kernels::ScoreWorkspace& ws = kernels::ThreadLocalWorkspace();
   kernels::ScoreAccumulator& acc = ws.acc;
   acc.Begin(/*expected_items=*/64);
   auto accumulate = [&](UserId other, double sim) {
@@ -164,10 +159,6 @@ spa::Status ItemKnnRecommender::Fit(const InteractionMatrix& matrix) {
   return spa::Status::OK();
 }
 
-const SimilarityIndexStats* ItemKnnRecommender::index_stats() const {
-  return index_ == nullptr ? nullptr : &index_->stats();
-}
-
 spa::Status ItemKnnRecommender::Refresh(RefreshOutcome* outcome) {
   if (matrix_ == nullptr) {
     return spa::Status::FailedPrecondition(
@@ -210,8 +201,8 @@ void ItemKnnRecommender::RecommendCandidatesInto(
   const auto& own_items = matrix_->ItemsOf(user);
 
   // Same workspace discipline as UserKNN: kernel-scaled similarity
-  // walks into the pooled accumulator, admission hoisted to harvest.
-  kernels::ScoreWorkspace& ws = kernels::ResolveWorkspace(query.workspace);
+  // walks into the thread's accumulator, admission hoisted to harvest.
+  kernels::ScoreWorkspace& ws = kernels::ThreadLocalWorkspace();
   kernels::ScoreAccumulator& acc = ws.acc;
   acc.Begin(/*expected_items=*/64);
   if (config_.use_index) {

@@ -37,8 +37,6 @@ struct KnnConfig {
   /// Precompute the truncated neighbor index at Fit (false = lazy
   /// per-request similarity recomputation, the parity reference).
   bool use_index = true;
-  /// Worker threads for the index build (0 = auto).
-  size_t index_build_threads = 0;
   /// Incremental Refresh() falls back to a full index rebuild when
   /// the affected rows exceed this fraction of all rows.
   double refresh_full_rebuild_fraction = 0.25;
@@ -61,7 +59,6 @@ class UserKnnRecommender : public Recommender {
   void RecommendCandidatesInto(const CandidateQuery& query,
                                std::vector<Scored>* out) const override;
   std::string name() const override { return "UserKNN"; }
-  const SimilarityIndexStats* index_stats() const override;
 
   /// Cosine similarity between two users (exposed for tests; always
   /// computed live against the current matrix).
@@ -89,7 +86,6 @@ class ItemKnnRecommender : public Recommender {
   void RecommendCandidatesInto(const CandidateQuery& query,
                                std::vector<Scored>* out) const override;
   std::string name() const override { return "ItemKNN"; }
-  const SimilarityIndexStats* index_stats() const override;
 
   double Similarity(ItemId a, ItemId b) const;
 

@@ -22,12 +22,6 @@
 
 namespace spa::recsys {
 
-struct SimilarityIndexStats;  // recsys/similarity_index.h
-
-namespace kernels {
-struct ScoreWorkspace;  // recsys/kernels.h
-}
-
 /// A scored candidate item.
 struct Scored {
   ItemId item = lifelog::kNoItem;
@@ -49,11 +43,6 @@ struct CandidateQuery {
   const std::unordered_set<ItemId>* exclude_items = nullptr;
   /// When non-null, only these items may be returned.
   const std::unordered_set<ItemId>* candidate_items = nullptr;
-  /// Reusable scoring scratch (accumulator + product buffer) threaded
-  /// by the serving engine so the warm path allocates nothing. Null
-  /// falls back to a thread-local workspace; the scores are bitwise
-  /// identical either way.
-  kernels::ScoreWorkspace* workspace = nullptr;
 
   /// True when `item` may be recommended under this query's policy.
   /// `matrix` may be null (no seen-filtering possible then).
@@ -104,8 +93,9 @@ class Recommender {
   /// Top-k items under the query's candidate policy, highest score
   /// first (ties broken by ascending item id), written into `*out`
   /// (replacing its contents) so a pooled caller reuses the vector's
-  /// capacity across requests. Accumulating components score through
-  /// `query.workspace`, so a warm call does not touch the heap.
+  /// capacity across requests. Accumulating components score on the
+  /// thread-local `kernels::ScoreWorkspace`, so a warm call does not
+  /// touch the heap.
   virtual void RecommendCandidatesInto(const CandidateQuery& query,
                                        std::vector<Scored>* out) const = 0;
 
@@ -118,12 +108,6 @@ class Recommender {
   }
 
   virtual std::string name() const = 0;
-
-  /// Fit-time similarity-index statistics; null for recommenders that
-  /// keep no index (serving layers surface these per component).
-  virtual const SimilarityIndexStats* index_stats() const {
-    return nullptr;
-  }
 };
 
 /// The ranking order every component emits: score descending, ties by

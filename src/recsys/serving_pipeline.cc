@@ -462,7 +462,7 @@ size_t ServingPipeline::ExecuteReadBatch(std::vector<Op> batch) {
     requests.push_back(std::move(op.request));
   }
   BatchPin pin;
-  auto results = engine_->RecommendBatchStaged(requests, &pin);
+  auto results = engine_->RecommendMicroBatch(requests, &pin);
   const auto served = Clock::now();
   const double serve_seconds = SecondsBetween(dequeued, served);
   hist_batch_serve_.Add(serve_seconds);

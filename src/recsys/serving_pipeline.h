@@ -24,13 +24,12 @@
 /// backpressure policy (block / reject-with-status / shed-oldest)
 /// feeds worker threads hosted on a `common/thread_pool`; each worker
 /// drains a run of queued requests as one micro-batch served through
-/// the engine's staged dataflow (`RecsysEngine::RecommendBatchStaged`:
-/// admit → candidates → blend → rerank → explain, stage-major, feeding
-/// the engine profiler's per-stage items), so every drained batch pins
-/// exactly one SUM snapshot and one interaction-matrix version — the
-/// same consistency contract `RecommendBatch` gives a closed batch —
-/// and concurrent drain workers overlap their stages across
-/// micro-batches.
+/// `RecsysEngine::RecommendMicroBatch` (request by request on the
+/// worker's thread, feeding the engine profiler's per-stage items), so
+/// every drained batch pins exactly one SUM snapshot and one
+/// interaction-matrix version — the same consistency contract
+/// `RecommendBatch` gives a closed batch — and concurrent drain workers
+/// overlap their micro-batches.
 ///
 /// ## Writer lane
 ///

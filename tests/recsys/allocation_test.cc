@@ -1,9 +1,10 @@
-// Allocation-count regression for the serve hot path: the warm cached
-// `RecommendInto` path must perform ZERO heap allocations. This TU
-// replaces the global operator new/delete with counting versions
-// (binary-wide — the replacements just delegate to malloc/free, so
-// every other test is unaffected) and asserts that a window of warm
-// cache-hit calls never enters the allocator.
+// Allocation-count regression for the serve hot path: a warm
+// `RecommendInto` must perform ZERO heap allocations, on cache hits and
+// (explain off) on computed misses. This TU replaces the global
+// operator new/delete with counting versions (binary-wide — the
+// replacements just delegate to malloc/free, so every other test is
+// unaffected) and asserts that a window of warm calls never enters the
+// allocator.
 
 #include <atomic>
 #include <cstdint>
@@ -105,8 +106,8 @@ class AllocationRegressionTest : public ::testing::Test {
         catalog_(sum::AttributeCatalog::EmagisterDefault()),
         sums_(&catalog_) {}
 
-  std::unique_ptr<RecsysEngine> MakeEngine() {
-    auto engine = std::make_unique<RecsysEngine>(EngineConfig{});
+  std::unique_ptr<RecsysEngine> MakeEngine(EngineConfig config = {}) {
+    auto engine = std::make_unique<RecsysEngine>(config);
     engine->AddComponent(std::make_unique<UserKnnRecommender>(), 0.6);
     engine->AddComponent(std::make_unique<PopularityRecommender>(),
                          0.4);
@@ -182,6 +183,44 @@ TEST_F(AllocationRegressionTest, DistinctWarmEntriesStayAllocFree) {
 
   EXPECT_TRUE(all_ok);
   EXPECT_EQ(allocs, 0u);
+}
+
+TEST_F(AllocationRegressionTest, WarmUncachedRecommendIntoIsAllocFree) {
+  // With the cache off every call computes: candidate fetch, blend,
+  // rerank and response copy all run on the serving thread's recycled
+  // state, so once that state and the reused response are sized, a
+  // miss must not allocate either.
+  EngineConfig config;
+  config.response_cache_capacity = 0;
+  auto engine = MakeEngine(config);
+  RecommendRequest requests[4];
+  for (UserId u = 0; u < 4; ++u) {
+    requests[u].user = u;
+    requests[u].k = 5;
+  }
+  RecommendResponse out;
+  for (int round = 0; round < 3; ++round) {
+    for (const RecommendRequest& request : requests) {
+      ASSERT_TRUE(engine->RecommendInto(request, &out).ok());
+    }
+  }
+
+  bool all_ok = true;
+  g_new_calls.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_release);
+  for (int round = 0; round < 50; ++round) {
+    for (const RecommendRequest& request : requests) {
+      all_ok = all_ok && engine->RecommendInto(request, &out).ok();
+    }
+  }
+  g_counting.store(false, std::memory_order_release);
+  const uint64_t allocs = g_new_calls.load(std::memory_order_relaxed);
+
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(engine->cache_stats().hits, 0u);
+  EXPECT_EQ(allocs, 0u)
+      << "warm uncached RecommendInto entered operator new " << allocs
+      << " times over 200 calls";
 }
 
 TEST_F(AllocationRegressionTest, RecomputePathStillProducesResults) {

@@ -619,11 +619,11 @@ TEST_F(EngineCacheTest, RecommendBatchReportsItsPin) {
   EXPECT_EQ(pin.matrix_version, matrix_.version());
   EXPECT_EQ(pin.sum_version, sums_.version());
 
-  // The staged (stage-major, caller-thread) micro-batch primitive is
-  // byte-identical at the same pin.
+  // The caller-thread micro-batch path is byte-identical at the same
+  // pin.
   BatchPin staged_pin;
   const auto staged_responses =
-      engine->RecommendBatchStaged(requests, &staged_pin);
+      engine->RecommendMicroBatch(requests, &staged_pin);
   EXPECT_EQ(staged_pin.fit_epoch, pin.fit_epoch);
   EXPECT_EQ(staged_pin.matrix_version, pin.matrix_version);
   EXPECT_EQ(staged_pin.sum_version, pin.sum_version);
@@ -651,7 +651,7 @@ TEST_F(EngineCacheTest, EmptyBatchesPinWithoutSpawningThePool) {
   EXPECT_TRUE(engine->RecommendBatch({}, &batch_pin).empty());
   EXPECT_EQ(ProcessThreadCount(), threads_before);  // no pool spawned
   BatchPin staged_pin;
-  EXPECT_TRUE(engine->RecommendBatchStaged({}, &staged_pin).empty());
+  EXPECT_TRUE(engine->RecommendMicroBatch({}, &staged_pin).empty());
 
   for (const BatchPin& pin : {batch_pin, staged_pin}) {
     EXPECT_EQ(pin.fit_epoch, 1u);
@@ -660,12 +660,15 @@ TEST_F(EngineCacheTest, EmptyBatchesPinWithoutSpawningThePool) {
   }
   EXPECT_GT(staged_pin.sum_version, 0u);
 
-  // A non-empty batch does spawn the pool (the probe is live).
+  // A non-empty batch does spawn the pool (the probe is live). At
+  // least: a runtime may add helper threads of its own when the first
+  // thread starts (TSan's background thread does), so only the lower
+  // bound is the engine's.
   RecommendRequest request;
   request.user = 0;
   request.k = 3;
   ASSERT_TRUE(engine->RecommendBatch({request})[0].ok());
-  EXPECT_EQ(ProcessThreadCount(), threads_before + 4);
+  EXPECT_GE(ProcessThreadCount(), threads_before + 4);
 }
 
 TEST_F(EngineCacheTest, RecommendBatchPinsOneSnapshotForTheWholeBatch) {

@@ -236,21 +236,22 @@ TEST(HybridTest, BlendFetchedIntoExposesContributions) {
   rec.FetchComponentCandidatesInto(query, &fetched);
   std::vector<HybridRecommender::Blended> blended;
   std::vector<HybridRecommender::Blended> plain;
-  rec.BlendFetchedInto(fetched, /*track_contributions=*/true, nullptr,
-                       &blended);
-  rec.BlendFetchedInto(fetched, /*track_contributions=*/false, nullptr,
-                       &plain);
+  std::vector<double> contributions;
+  rec.BlendFetchedInto(fetched, &contributions, &blended);
+  rec.BlendFetchedInto(fetched, /*contributions=*/nullptr, &plain);
   ASSERT_FALSE(blended.empty());
   ASSERT_EQ(blended.size(), plain.size());
+  // One row of two component shares per blended candidate.
+  ASSERT_EQ(contributions.size(), 2 * blended.size());
   for (size_t i = 0; i < blended.size(); ++i) {
     const auto& b = blended[i];
-    ASSERT_EQ(b.contributions.size(), 2u);
-    EXPECT_TRUE(plain[i].contributions.empty());
     // Tracking changes neither the order nor a score bit.
     EXPECT_EQ(b.item, plain[i].item);
     EXPECT_EQ(b.score, plain[i].score);
-    double sum = 0.0;
-    for (double c : b.contributions) sum += c;
+    EXPECT_EQ(b.slot, plain[i].slot);
+    ASSERT_LT(b.slot, blended.size());
+    const double sum =
+        contributions[2 * b.slot] + contributions[2 * b.slot + 1];
     EXPECT_NEAR(sum, b.score, 1e-12);
   }
 }

@@ -13,10 +13,11 @@
 #include "recsys/recsys_test_util.h"
 #include "sum/sum_service.h"
 
-/// The staged serving dataflow (`RecsysEngine::RecommendBatchStaged`:
-/// admit → candidate-gen → blend → rerank → explain, stage-major
-/// across a micro-batch). The load-bearing claim tested here is
-/// **bitwise parity**: at the same `BatchPin`, the staged path must
+/// The micro-batch serving path (`RecsysEngine::RecommendMicroBatch`:
+/// one lock hold and one pinned snapshot, then admit → candidate-gen →
+/// blend → rerank → explain request by request on the calling thread).
+/// The load-bearing claim tested here is **bitwise parity**: at the
+/// same `BatchPin`, the micro-batch path must
 /// reproduce per-request serving (`RecommendBatch`) byte-for-byte —
 /// every score, every breakdown field, every error — for every request
 /// shape the serving API admits (explain, exclusions, allowlists,
@@ -108,7 +109,8 @@ std::vector<RecommendRequest> MakeRequestMix(
     }
     requests.push_back(std::move(request));
   }
-  // Duplicates: the staged batch computes both, bytes must not change.
+  // Duplicates: the second copy may hit the cache entry the first one
+  // filled; bytes must not change.
   requests.push_back(requests.front());
   requests.push_back(requests[4]);
   // Invalid: k == 0 and an empty allowlist fail validation on both
@@ -178,7 +180,7 @@ class StagePipelineTest : public ::testing::Test {
 
 TEST_F(StagePipelineTest, StagedMatchesBatchBitwiseOnColdEngines) {
   // Two identically-fitted engines, both computing from scratch: the
-  // stage-major batch must reproduce the parallel per-request batch
+  // caller-thread micro-batch must reproduce the parallel batch
   // byte-for-byte, same pins, same errors.
   auto staged_engine = stack_.MakeEngine(/*cache_capacity=*/0);
   auto batch_engine = stack_.MakeEngine(/*cache_capacity=*/0);
@@ -186,7 +188,7 @@ TEST_F(StagePipelineTest, StagedMatchesBatchBitwiseOnColdEngines) {
 
   BatchPin staged_pin, batch_pin;
   const auto staged =
-      staged_engine->RecommendBatchStaged(requests, &staged_pin);
+      staged_engine->RecommendMicroBatch(requests, &staged_pin);
   const auto batched = batch_engine->RecommendBatch(requests, &batch_pin);
   ExpectSameResults(staged, batched, "cold");
   EXPECT_EQ(staged_pin.fit_epoch, batch_pin.fit_epoch);
@@ -195,13 +197,13 @@ TEST_F(StagePipelineTest, StagedMatchesBatchBitwiseOnColdEngines) {
 }
 
 TEST_F(StagePipelineTest, StagedMatchesBatchThroughCacheAndUpdates) {
-  // One engine, served in alternating staged/per-request rounds across
+  // One engine, served in alternating micro-batch/parallel rounds across
   // a live-update boundary: cache hits, recomputes and re-stamped
   // entries must all produce identical bytes on both paths.
   auto engine = stack_.MakeEngine(/*cache_capacity=*/256);
   const auto requests = MakeRequestMix(stack_.sums);
 
-  const auto round1_staged = engine->RecommendBatchStaged(requests);
+  const auto round1_staged = engine->RecommendMicroBatch(requests);
   const auto round1_batch = engine->RecommendBatch(requests);
   ExpectSameResults(round1_staged, round1_batch, "warm");
   EXPECT_GT(engine->cache_stats().hits, 0u);
@@ -210,7 +212,7 @@ TEST_F(StagePipelineTest, StagedMatchesBatchThroughCacheAndUpdates) {
                                     {2, 3, 2.0}};
   ASSERT_TRUE(engine->ApplyInteractions(batch).ok());
 
-  const auto round2_staged = engine->RecommendBatchStaged(requests);
+  const auto round2_staged = engine->RecommendMicroBatch(requests);
   const auto round2_batch = engine->RecommendBatch(requests);
   ExpectSameResults(round2_staged, round2_batch, "post-update");
 }
@@ -224,7 +226,7 @@ TEST_F(StagePipelineTest, StagedBatchRecordsLeveledProfilerItems) {
     request.k = 3;
     requests.push_back(request);
   }
-  (void)engine->RecommendBatchStaged(requests);
+  (void)engine->RecommendMicroBatch(requests);
 
   const ProfilerSnapshot snap =
       engine->profiler().Snapshot(ProfilerLevel::kL3);
@@ -232,6 +234,10 @@ TEST_F(StagePipelineTest, StagedBatchRecordsLeveledProfilerItems) {
     switch (s.item) {
       case ProfilerItem::kBatchServe:
         EXPECT_EQ(s.count, 1u);
+        break;
+      case ProfilerItem::kRequestServe:
+        // Each request of the micro-batch is one per-request serve.
+        EXPECT_EQ(s.count, requests.size());
         break;
       case ProfilerItem::kStageCandidateGen:
       case ProfilerItem::kStageBlend:
@@ -257,10 +263,27 @@ TEST_F(StagePipelineTest, StagedBatchRecordsLeveledProfilerItems) {
             requests.size());
 }
 
+TEST_F(StagePipelineTest, MicroBatchDuplicateHitsTheEntryItsFirstCopyFilled) {
+  // Requests are served in order, so a repeated request finds the
+  // cache entry its first copy inserted: only the counters show it.
+  auto engine = stack_.MakeEngine(/*cache_capacity=*/16);
+  RecommendRequest request;
+  request.user = 3;
+  request.k = 4;
+  request.explain = true;
+  const auto results = engine->RecommendMicroBatch({request, request});
+  ASSERT_EQ(results.size(), 2u);
+  ASSERT_TRUE(results[0].ok());
+  ASSERT_TRUE(results[1].ok());
+  ExpectBitwiseEqual(results[0].value(), results[1].value(), "duplicate");
+  EXPECT_EQ(engine->cache_stats().misses, 1u);
+  EXPECT_EQ(engine->cache_stats().hits, 1u);
+}
+
 TEST_F(StagePipelineTest, TsanStressStagedServeWhileUpdating) {
-  // Staged batches racing live updates and SUM publishes: the staged
-  // path holds the shared serve lock for the whole batch while the
-  // profiler records from every thread. Run under TSAN in CI.
+  // Micro-batches racing live updates and SUM publishes: each one
+  // holds the shared serve lock for the whole batch while the profiler
+  // records from every thread. Run under TSAN in CI.
   auto engine = stack_.MakeEngine(/*cache_capacity=*/64);
   std::atomic<bool> stop{false};
   std::vector<std::thread> readers;
@@ -276,7 +299,7 @@ TEST_F(StagePipelineTest, TsanStressStagedServeWhileUpdating) {
         requests.push_back(request);
       }
       while (!stop.load(std::memory_order_relaxed)) {
-        const auto results = engine->RecommendBatchStaged(requests);
+        const auto results = engine->RecommendMicroBatch(requests);
         for (const auto& result : results) {
           EXPECT_TRUE(result.ok());
         }
