@@ -15,8 +15,9 @@
 //     (the SLO verdict is reported but host-perf dependent, so it
 //     does not gate).
 //
-// Results merge into BENCH_serving.json under the "scenarios" key
-// (the rest of the file, written by bench_serving, is preserved).
+// Writes BENCH_serving.json (schema: docs/METRICS.md): the matrix
+// under "scenarios" and, under "stages", the L1/L2/L3 profiler export
+// of the baseline pipeline cell's live engine after its replay.
 //
 //   ./build/bench/bench_scenarios [--users=N] [--seed=S] [--smoke]
 
@@ -30,46 +31,6 @@
 
 namespace spa::bench {
 namespace {
-
-/// Splices `scenarios_json` (the full `"scenarios": {...}` object
-/// body) into BENCH_serving.json, replacing any previous "scenarios"
-/// key and preserving everything bench_serving wrote. Writes a fresh
-/// file when none exists.
-void MergeIntoBenchJson(const std::string& scenarios_json) {
-  std::string existing;
-  if (std::FILE* in = std::fopen("BENCH_serving.json", "rb")) {
-    char buffer[4096];
-    size_t got;
-    while ((got = std::fread(buffer, 1, sizeof(buffer), in)) > 0) {
-      existing.append(buffer, got);
-    }
-    std::fclose(in);
-  }
-
-  std::string prefix;
-  const size_t marker = existing.find(",\n  \"scenarios\":");
-  if (marker != std::string::npos) {
-    prefix = existing.substr(0, marker);  // replace the previous run
-  } else {
-    const size_t close = existing.rfind('}');
-    if (close != std::string::npos) {
-      prefix = existing.substr(0, close);
-    }
-  }
-  while (!prefix.empty() &&
-         (prefix.back() == '\n' || prefix.back() == ' ' ||
-          prefix.back() == '\t')) {
-    prefix.pop_back();
-  }
-  if (prefix.empty()) prefix = "{\n  \"bench\": \"serving\"";
-
-  std::FILE* out = std::fopen("BENCH_serving.json", "w");
-  if (out == nullptr) return;
-  std::fprintf(out, "%s,\n  \"scenarios\": %s\n}\n", prefix.c_str(),
-               scenarios_json.c_str());
-  std::fclose(out);
-  std::printf("\nmerged \"scenarios\" into BENCH_serving.json\n");
-}
 
 int Main(int argc, char** argv) {
   const CommonFlags flags = ParseFlags(argc, argv);
@@ -214,10 +175,9 @@ int Main(int argc, char** argv) {
         o.scenario.c_str(), o.backend.c_str(),
         o.status.ok() ? "true" : "false", o.users, o.events,
         fingerprint, o.offered_rps, o.achieved_rps);
-    const QuantileSnapshot e2e = Quantiles(o.end_to_end, 1e3);
     json += StrFormat(
         "\"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f, ",
-        e2e.p50, e2e.p95, e2e.p99);
+        o.p50_ms, o.p95_ms, o.p99_ms);
     json += StrFormat(
         "\"responses\": %llu, \"updates\": %llu, "
         "\"rejected_reads\": %llu, \"rejected_writes\": %llu, "
@@ -241,7 +201,17 @@ int Main(int argc, char** argv) {
         i + 1 < outcomes.size() ? "," : "");
   }
   json += "    ]\n  }";
-  MergeIntoBenchJson(json);
+
+  // The first cell is the baseline scenario on the pipeline backend.
+  const std::string& stages = outcomes.front().stages_json;
+  if (std::FILE* out = std::fopen("BENCH_serving.json", "w")) {
+    std::fprintf(out,
+                 "{\n  \"bench\": \"serving\",\n  \"scenarios\": %s,\n"
+                 "  \"stages\": %s\n}\n",
+                 json.c_str(), stages.empty() ? "{}" : stages.c_str());
+    std::fclose(out);
+    std::printf("\nwrote BENCH_serving.json\n");
+  }
 
   // Streamed/routed serving must reproduce the synchronous reference
   // bitwise at every sampled pin; SLO verdicts are reported above but

@@ -6,11 +6,9 @@
 #include <cstring>
 #include <string>
 
-#include "common/stats.h"
 #include "common/string_util.h"
 
-/// Shared flag parsing, latency-quantile export and table rendering
-/// for the bench binaries.
+/// Shared flag parsing and table rendering for the bench binaries.
 ///
 /// Common flags:
 ///   --users=N        candidate pool size (default per bench)
@@ -44,28 +42,6 @@ inline CommonFlags ParseFlags(int argc, char** argv) {
     }
   }
   return flags;
-}
-
-/// The three latency quantiles every bench exports, pulled from one
-/// `spa::LogHistogram` snapshot (seconds) and scaled into the caller's
-/// unit (1e3 = milliseconds, 1e6 = microseconds). Centralizes the
-/// `Quantile(0.50/0.95/0.99)` triple that bench_serving and
-/// bench_scenarios both emit per histogram.
-struct QuantileSnapshot {
-  uint64_t count = 0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-};
-
-inline QuantileSnapshot Quantiles(const spa::LogHistogram& histogram,
-                                  double scale = 1.0) {
-  QuantileSnapshot snapshot;
-  snapshot.count = histogram.total();
-  snapshot.p50 = histogram.Quantile(0.50) * scale;
-  snapshot.p95 = histogram.Quantile(0.95) * scale;
-  snapshot.p99 = histogram.Quantile(0.99) * scale;
-  return snapshot;
 }
 
 inline void PrintHeader(const std::string& title) {

@@ -11,15 +11,16 @@ an actual smoke artifact, in both directions:
 
 Checked blocks:
 
-  * `bench-keys`           -> the artifact's top-level keys;
-  * `streaming-keys`       -> the `streaming` section (the open-loop
-                              deadline-degradation sweep);
-  * `streaming-point-keys` -> each entry of `streaming.points[]`.
+  * `bench-keys`         -> the artifact's top-level keys;
+  * `scenarios-keys`     -> the `scenarios` object;
+  * `scenario-row-keys`  -> `scenarios.matrix[0]`, one matrix cell;
+  * `stages-keys`        -> the `stages` object (the profiler export).
 
 Usage: check_metrics_doc.py <docs/METRICS.md> <BENCH_serving.json>
 
 Exit code 0 when every set matches exactly, 1 otherwise (and on a
-missing marker block, which would make the check vacuous).
+missing marker block or artifact object, which would make the check
+vacuous).
 """
 
 import json
@@ -65,25 +66,25 @@ def main(argv):
     with open(json_path, encoding="utf-8") as f:
         artifact = json.load(f)
 
-    rc = compare(doc_path, json_path, "top-level",
-                 documented_keys(text, doc_path, "bench-keys"),
-                 set(artifact.keys()))
-
-    streaming = artifact.get("streaming")
-    if not isinstance(streaming, dict):
-        print(f"{json_path} has no \"streaming\" object to check")
-        return 1
-    rc |= compare(doc_path, json_path, "streaming",
-                  documented_keys(text, doc_path, "streaming-keys"),
-                  set(streaming.keys()))
-    points = streaming.get("points") or []
-    if not points:
-        print(f"{json_path} has an empty \"streaming.points\" sweep")
-        return 1
-    rc |= compare(doc_path, json_path, "streaming point",
-                  documented_keys(text, doc_path,
-                                  "streaming-point-keys"),
-                  set(points[0].keys()))
+    scenarios = artifact.get("scenarios")
+    matrix = scenarios.get("matrix") if isinstance(scenarios, dict) else None
+    stages = artifact.get("stages")
+    checked = [
+        ("top-level", "bench-keys", artifact),
+        ("scenarios", "scenarios-keys", scenarios),
+        ("scenario row", "scenario-row-keys",
+         matrix[0] if matrix else None),
+        ("stages", "stages-keys", stages),
+    ]
+    rc = 0
+    for what, block, obj in checked:
+        if not isinstance(obj, dict):
+            print(f"{json_path} has no {what} object to check")
+            rc = 1
+            continue
+        rc |= compare(doc_path, json_path, what,
+                      documented_keys(text, doc_path, block),
+                      set(obj.keys()))
     return rc
 
 

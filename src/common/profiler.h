@@ -40,7 +40,7 @@
 /// (callers advance between batches / scenarios, i.e. quiesced).
 ///
 /// The JSON export schema is documented in `docs/METRICS.md`
-/// (`BENCH_serving.json["stages"]` carries it).
+/// (`bench_scenarios` writes it under `BENCH_serving.json["stages"]`).
 
 namespace spa {
 

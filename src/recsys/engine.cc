@@ -71,7 +71,6 @@ struct RecsysEngine::ServeState {
   void Reset(bool explain_flag) {
     explain = explain_flag;
     ranked.clear();
-    response.items.clear();
   }
 };
 
@@ -691,32 +690,32 @@ void RecsysEngine::ServeExplain(const RecommendRequest& request,
   // when the request asked for an explanation).
   ItemTimer timer(profiler_, ProfilerItem::kStageExplain);
   const std::vector<HybridRecommender::Blended>& blended = state->blended;
-  RecommendResponse& response = state->response;
-  response.items.reserve(state->ranked.size());
-  for (const ServeState::Ranked& r : state->ranked) {
+  const size_t width = hybrid_->component_count();
+  const bool emotion = request.explain && state->apply_emotion;
+  std::vector<RecommendedItem>& items = state->response.items;
+  items.resize(state->ranked.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    const ServeState::Ranked& r = state->ranked[i];
     const HybridRecommender::Blended& b = blended[r.idx];
-    RecommendedItem item;
+    RecommendedItem& item = items[i];
     item.item = b.item;
     item.score = r.score;
-    if (request.explain) {
-      item.breakdown.base = b.score;
-      item.breakdown.emotional_alignment = r.alignment;
-      if (state->apply_emotion) {
-        item.breakdown.base_share = reranker_.BlendScore(r.base_norm, 0.0);
-        item.breakdown.emotion_delta = r.score - item.breakdown.base_share;
-      } else {
-        item.breakdown.base_share = b.score;
-      }
-      const size_t width = hybrid_->component_count();
-      const double* shares = &state->contributions[b.slot * width];
-      item.breakdown.components.reserve(width);
-      for (size_t ci = 0; ci < width; ++ci) {
-        item.breakdown.components.push_back(
-            {hybrid_->component_name(ci), hybrid_->component_weight(ci),
-             shares[ci]});
-      }
+    // Overwritten in place, never rebuilt: the reused item keeps its
+    // breakdown's component capacity, so a warm explain miss allocates
+    // nothing. Without `explain` every breakdown field reads zero.
+    ScoreBreakdown& breakdown = item.breakdown;
+    breakdown.base = request.explain ? b.score : 0.0;
+    breakdown.emotional_alignment = request.explain ? r.alignment : 0.0;
+    breakdown.base_share =
+        emotion ? reranker_.BlendScore(r.base_norm, 0.0) : breakdown.base;
+    breakdown.emotion_delta = emotion ? r.score - breakdown.base_share : 0.0;
+    breakdown.components.resize(request.explain ? width : 0);
+    for (size_t ci = 0; ci < breakdown.components.size(); ++ci) {
+      ComponentContribution& share = breakdown.components[ci];
+      share.component = hybrid_->component_name(ci);
+      share.weight = hybrid_->component_weight(ci);
+      share.contribution = state->contributions[b.slot * width + ci];
     }
-    response.items.push_back(std::move(item));
   }
   timer.Stop();
 }
@@ -793,16 +792,6 @@ RecsysEngine::RecommendMicroBatch(
   }
   batch_timer.Stop();
   return results;
-}
-
-size_t RecsysEngine::batch_thread_count() {
-  return EnsurePool()->thread_count();
-}
-
-void RecsysEngine::set_batch_threads(size_t threads) {
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  config_.batch_threads = threads;
-  pool_.reset();
 }
 
 ThreadPool* RecsysEngine::EnsurePool() {

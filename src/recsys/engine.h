@@ -318,11 +318,6 @@ class RecsysEngine {
   const EngineConfig& config() const { return config_; }
   const HybridRecommender& hybrid() const { return *hybrid_; }
   EmotionAwareReranker* reranker() { return &reranker_; }
-  size_t batch_thread_count();
-
-  /// Resizes the batch pool (tears down the old one after in-flight
-  /// work drains; not thread-safe against concurrent RecommendBatch).
-  void set_batch_threads(size_t threads);
 
   /// Response-cache counters (cumulative since construction).
   EngineCacheStats cache_stats() const;

@@ -64,8 +64,6 @@ class UserKnnRecommender : public Recommender {
   /// computed live against the current matrix).
   double Similarity(UserId a, UserId b) const;
 
-  const SimilarityIndex<UserId>* index() const { return index_.get(); }
-
  private:
   KnnConfig config_;
   const InteractionMatrix* matrix_ = nullptr;
@@ -88,8 +86,6 @@ class ItemKnnRecommender : public Recommender {
   std::string name() const override { return "ItemKNN"; }
 
   double Similarity(ItemId a, ItemId b) const;
-
-  const SimilarityIndex<ItemId>* index() const { return index_.get(); }
 
  private:
   KnnConfig config_;

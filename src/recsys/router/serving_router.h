@@ -61,9 +61,10 @@
 /// For any routed response pinned at (fit_epoch, matrix_version,
 /// sum_version), a single-process engine fitted from the same
 /// interaction log and replayed to the same pin serves the
-/// byte-identical response. `tests/recsys/router_test.cc` asserts this
-/// over randomized interleavings of Submit / ApplyInteractions /
-/// SubmitSumUpdates, and `bench_serving --smoke` gates it in CI.
+/// byte-identical response. `ServingRouterDifferentialTest`
+/// (`tests/recsys/router_test.cc`) asserts this over randomized
+/// interleavings of Submit / ApplyInteractions / SubmitSumUpdates at
+/// 1-4 workers.
 
 namespace spa::recsys {
 

@@ -96,18 +96,23 @@ SumService::SumService(const AttributeCatalog* catalog,
       updater_(config.reinforcement),
       shard_count_(ResolveShardCount(config.user_shards)) {
   SPA_CHECK(catalog != nullptr);
-  head_.store(SumSnapshotPtr(new SumSnapshot(catalog, shard_count_)),
-              std::memory_order_release);
+  head_ = SumSnapshotPtr(new SumSnapshot(catalog, shard_count_));
 }
 
 SumSnapshotPtr SumService::snapshot() const {
-  return head_.load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(head_mutex_);
+  return head_;
 }
 
-void SumService::Publish(std::shared_ptr<SumSnapshot> next) {
+void SumService::Publish(SumSnapshotPtr next) {
   const uint64_t version = next->version_;
   const size_t size = next->size();
-  head_.store(std::move(next), std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(head_mutex_);
+    head_.swap(next);
+  }
+  // `next` now holds the old head and is released after the lock, so
+  // tearing down a snapshot no reader pins never stalls snapshot().
   // Mirrors are updated after the head so a reader that observes the
   // new counters can also pin the new snapshot. Writers serialize
   // under write_mutex_, so both stay monotonic.

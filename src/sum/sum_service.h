@@ -179,7 +179,7 @@ class SumService {
 
  private:
   spa::Status Validate(const SumUpdate& update) const;
-  void Publish(std::shared_ptr<SumSnapshot> next);
+  void Publish(SumSnapshotPtr next);
 
   const AttributeCatalog* catalog_;
   ReinforcementUpdater updater_;
@@ -187,8 +187,11 @@ class SumService {
 
   /// Serializes writers (Apply/ApplyAll/Reset).
   std::mutex write_mutex_;
-  /// Lock-free head: pinning a snapshot is one atomic shared_ptr load.
-  std::atomic<SumSnapshotPtr> head_;
+  /// The published head. Pinning a snapshot copies it under
+  /// `head_mutex_` (one refcount increment); `Publish` swaps it under
+  /// the same mutex.
+  mutable std::mutex head_mutex_;
+  SumSnapshotPtr head_;
   /// Mirrors of the head's version/size so hot-path reads (cache keys,
   /// router pins, empty-batch ApplyAll) skip the snapshot pin.
   std::atomic<uint64_t> version_{0};

@@ -51,8 +51,8 @@ std::vector<sum::SumUpdate> MaterializeShifts(
   return updates;
 }
 
-/// Bitwise response comparison (same contract as the parity gates in
-/// bench_serving and the router tests: item ids and exact scores).
+/// Bitwise response comparison (same contract as the engine, pipeline
+/// and router parity tests: item ids and exact scores).
 bool SameResponse(const recsys::RecommendResponse& a,
                   const recsys::RecommendResponse& b) {
   if (a.user != b.user || a.degraded != b.degraded ||
@@ -494,6 +494,10 @@ ScenarioOutcome ScenarioRunner::Run(const ScenarioConfig& scenario) const {
   out.p95_ms = stats.end_to_end.Quantile(0.95) * 1e3;
   out.p99_ms = stats.end_to_end.Quantile(0.99) * 1e3;
   out.end_to_end = stats.end_to_end;
+  if (live_engine != nullptr) {
+    out.stages_json =
+        live_engine->profiler().ExportJson(spa::ProfilerLevel::kL3);
+  }
   if (cache.hits + cache.misses > 0) {
     out.cache_hit_rate =
         static_cast<double>(cache.hits) /

@@ -132,8 +132,12 @@ struct ScenarioOutcome {
   double p95_ms = 0.0;
   double p99_ms = 0.0;
   /// Raw end-to-end histogram (seconds; merged across workers for the
-  /// router backend) so consumers can export their own quantiles.
+  /// router backend) the quantiles above are read from.
   spa::LogHistogram end_to_end;
+  /// The live engine's L1/L2/L3 profiler export
+  /// (`Profiler::ExportJson(ProfilerLevel::kL3)`), taken once the
+  /// replay quiesced. Pipeline backend only; empty for the router.
+  std::string stages_json;
 
   // ---- admission ----------------------------------------------------------
   uint64_t submitted = 0;

@@ -1,6 +1,6 @@
 // Allocation-count regression for the serve hot path: a warm
 // `RecommendInto` must perform ZERO heap allocations, on cache hits and
-// (explain off) on computed misses. This TU replaces the global
+// on computed misses (explain on or off). This TU replaces the global
 // operator new/delete with counting versions (binary-wide — the
 // replacements just delegate to malloc/free, so every other test is
 // unaffected) and asserts that a window of warm calls never enters the
@@ -187,40 +187,46 @@ TEST_F(AllocationRegressionTest, DistinctWarmEntriesStayAllocFree) {
 
 TEST_F(AllocationRegressionTest, WarmUncachedRecommendIntoIsAllocFree) {
   // With the cache off every call computes: candidate fetch, blend,
-  // rerank and response copy all run on the serving thread's recycled
-  // state, so once that state and the reused response are sized, a
-  // miss must not allocate either.
-  EngineConfig config;
-  config.response_cache_capacity = 0;
-  auto engine = MakeEngine(config);
-  RecommendRequest requests[4];
-  for (UserId u = 0; u < 4; ++u) {
-    requests[u].user = u;
-    requests[u].k = 5;
-  }
-  RecommendResponse out;
-  for (int round = 0; round < 3; ++round) {
-    for (const RecommendRequest& request : requests) {
-      ASSERT_TRUE(engine->RecommendInto(request, &out).ok());
+  // rerank, explanation and response copy all run on the serving
+  // thread's recycled state, so once that state and the reused
+  // response are sized, a miss must not allocate either — with or
+  // without per-item score breakdowns.
+  for (const bool explain : {false, true}) {
+    SCOPED_TRACE(explain ? "explain" : "no explain");
+    EngineConfig config;
+    config.response_cache_capacity = 0;
+    auto engine = MakeEngine(config);
+    RecommendRequest requests[4];
+    for (UserId u = 0; u < 4; ++u) {
+      requests[u].user = u;
+      requests[u].k = 5;
+      requests[u].explain = explain;
     }
-  }
-
-  bool all_ok = true;
-  g_new_calls.store(0, std::memory_order_relaxed);
-  g_counting.store(true, std::memory_order_release);
-  for (int round = 0; round < 50; ++round) {
-    for (const RecommendRequest& request : requests) {
-      all_ok = all_ok && engine->RecommendInto(request, &out).ok();
+    RecommendResponse out;
+    for (int round = 0; round < 3; ++round) {
+      for (const RecommendRequest& request : requests) {
+        ASSERT_TRUE(engine->RecommendInto(request, &out).ok());
+      }
     }
-  }
-  g_counting.store(false, std::memory_order_release);
-  const uint64_t allocs = g_new_calls.load(std::memory_order_relaxed);
 
-  EXPECT_TRUE(all_ok);
-  EXPECT_EQ(engine->cache_stats().hits, 0u);
-  EXPECT_EQ(allocs, 0u)
-      << "warm uncached RecommendInto entered operator new " << allocs
-      << " times over 200 calls";
+    bool all_ok = true;
+    g_new_calls.store(0, std::memory_order_relaxed);
+    g_counting.store(true, std::memory_order_release);
+    for (int round = 0; round < 50; ++round) {
+      for (const RecommendRequest& request : requests) {
+        all_ok = all_ok && engine->RecommendInto(request, &out).ok();
+      }
+    }
+    g_counting.store(false, std::memory_order_release);
+    const uint64_t allocs = g_new_calls.load(std::memory_order_relaxed);
+
+    EXPECT_TRUE(all_ok);
+    EXPECT_EQ(out.explained, explain);
+    EXPECT_EQ(engine->cache_stats().hits, 0u);
+    EXPECT_EQ(allocs, 0u)
+        << "warm uncached RecommendInto entered operator new " << allocs
+        << " times over 200 calls";
+  }
 }
 
 TEST_F(AllocationRegressionTest, RecomputePathStillProducesResults) {

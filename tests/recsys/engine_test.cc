@@ -264,15 +264,16 @@ TEST_F(EngineTest, EmotionOverrideReplacesStoreLookup) {
 
 TEST_F(EngineTest, BatchMatchesSequentialExactly) {
   SetSensibility(0, eit::EmotionalAttribute::kMotivated, 0.8);
-  EngineConfig config;
-  config.batch_threads = 4;
-  auto engine = MakeEngine(config);
-  for (ItemId item = 0; item < 10; ++item) {
-    EmotionProfile profile{};
-    profile[static_cast<size_t>(eit::EmotionalAttribute::kMotivated)] =
-        0.1 * static_cast<double>(item);
-    engine->SetItemEmotionProfile(item, profile);
-  }
+  const auto with_profiles = [this](EngineConfig config) {
+    auto engine = MakeEngine(config);
+    for (ItemId item = 0; item < 10; ++item) {
+      EmotionProfile profile{};
+      profile[static_cast<size_t>(eit::EmotionalAttribute::kMotivated)] =
+          0.1 * static_cast<double>(item);
+      engine->SetItemEmotionProfile(item, profile);
+    }
+    return engine;
+  };
 
   // A mixed batch: every user, varying k, some relaxed policies, some
   // with explanations.
@@ -287,22 +288,34 @@ TEST_F(EngineTest, BatchMatchesSequentialExactly) {
     requests.push_back(std::move(request));
   }
 
+  auto reference = with_profiles({});
   std::vector<spa::Result<RecommendResponse>> sequential;
   for (const auto& request : requests) {
-    sequential.push_back(engine->Recommend(request));
+    sequential.push_back(reference->Recommend(request));
   }
-  const auto batched = engine->RecommendBatch(requests);
 
-  ASSERT_EQ(batched.size(), sequential.size());
-  for (size_t i = 0; i < batched.size(); ++i) {
-    ASSERT_EQ(batched[i].ok(), sequential[i].ok()) << "request " << i;
-    const auto& lhs = sequential[i].value().items;
-    const auto& rhs = batched[i].value().items;
-    ASSERT_EQ(lhs.size(), rhs.size()) << "request " << i;
-    for (size_t j = 0; j < lhs.size(); ++j) {
-      EXPECT_EQ(lhs[j].item, rhs[j].item) << "request " << i;
-      // Bitwise-identical scores: same computation, same order.
-      EXPECT_EQ(lhs[j].score, rhs[j].score) << "request " << i;
+  // Each pool size serves the batch cold on its own engine, so every
+  // response is computed on the pool, not copied out of a cache the
+  // sequential pass filled.
+  for (const size_t threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(threads);
+    EngineConfig config;
+    config.batch_threads = threads;
+    auto engine = with_profiles(config);
+    const auto batched = engine->RecommendBatch(requests);
+    EXPECT_EQ(engine->cache_stats().hits, 0u);
+
+    ASSERT_EQ(batched.size(), sequential.size());
+    for (size_t i = 0; i < batched.size(); ++i) {
+      ASSERT_EQ(batched[i].ok(), sequential[i].ok()) << "request " << i;
+      const auto& lhs = sequential[i].value().items;
+      const auto& rhs = batched[i].value().items;
+      ASSERT_EQ(lhs.size(), rhs.size()) << "request " << i;
+      for (size_t j = 0; j < lhs.size(); ++j) {
+        EXPECT_EQ(lhs[j].item, rhs[j].item) << "request " << i;
+        // Bitwise-identical scores: same computation, same order.
+        EXPECT_EQ(lhs[j].score, rhs[j].score) << "request " << i;
+      }
     }
   }
 }

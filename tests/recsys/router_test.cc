@@ -470,18 +470,23 @@ struct RoutedRead {
 /// and asserts every routed response is bitwise-identical to the
 /// single-process serve at its pin.
 void RunRouterDifferentialSchedule(uint64_t seed) {
-  SCOPED_TRACE("seed=" + std::to_string(seed));
+  // Each run of four consecutive seeds shares a worker count and walks
+  // all four shard counts, so every worker count (1-4) meets every
+  // shard count (1-4).
+  const size_t shards = 1 + seed % 4;
+  const size_t workers = 1 + (seed / 4) % 4;
+  SCOPED_TRACE("seed=" + std::to_string(seed) + " workers=" +
+               std::to_string(workers) + " shards=" +
+               std::to_string(shards));
   sum::AttributeCatalog catalog =
       sum::AttributeCatalog::EmagisterDefault();
   const std::vector<Interaction> bootstrap = MakeBootstrapLog(seed);
-  const size_t shards = 1 + seed % 4;
 
   // ---- live routed run -----------------------------------------------------
   sum::SumService live_sums(&catalog);
   BootstrapSums(&live_sums, catalog, seed);
-  auto created = ServingRouter::Create(
-      MakeRouterConfig(seed, /*workers=*/1 + seed % 3), bootstrap,
-      &live_sums);
+  auto created = ServingRouter::Create(MakeRouterConfig(seed, workers),
+                                       bootstrap, &live_sums);
   ASSERT_TRUE(created.ok()) << created.status();
   std::unique_ptr<ServingRouter> router = std::move(created).value();
 
@@ -623,8 +628,8 @@ void RunRouterDifferentialSchedule(uint64_t seed) {
 
 TEST(ServingRouterDifferentialTest,
      RoutedResponsesMatchSingleProcessAtPinnedVersionsUnderInterleavedWrites) {
-  // 18 seeded schedules, varying worker count (1-3) and matrix shard
-  // count (1-4).
+  // 18 seeded schedules over worker counts 1-4 crossed with matrix
+  // shard counts 1-4.
   for (uint64_t seed = 0; seed < 18; ++seed) {
     RunRouterDifferentialSchedule(2000 + seed);
     if (::testing::Test::HasFatalFailure()) return;

@@ -229,8 +229,10 @@ struct AppliedWrite {
 /// writes in submission order on a fresh reference stack and asserts
 /// every streamed response equals the synchronous RecommendBatch
 /// result at the same pinned (matrix version, SUM version) pair.
+/// Adds the reads degraded under deadline pressure (fallback-served
+/// plus expired drops; none outside kDegrade) to `*pressed`.
 void RunDifferentialSchedule(uint64_t seed, BackpressurePolicy policy,
-                             size_t shards) {
+                             size_t shards, uint64_t* pressed) {
   SCOPED_TRACE("seed=" + std::to_string(seed) + " policy=" +
                std::to_string(static_cast<int>(policy)) + " shards=" +
                std::to_string(shards));
@@ -263,6 +265,7 @@ void RunDifferentialSchedule(uint64_t seed, BackpressurePolicy policy,
   // deadline-free, generous and knife-edge deadlines so every outcome
   // class (full serve, fallback, drop) shows up across the seeds.
   Rng deadline_rng(seed, /*stream=*/9);
+  std::vector<double> deadlines(schedule.size(), 0.0);
   {
     ServingPipeline pipeline(live_engine.get(), &live_sums, config);
     std::vector<std::pair<size_t, StreamTicketPtr>> tickets;
@@ -287,6 +290,7 @@ void RunDifferentialSchedule(uint64_t seed, BackpressurePolicy policy,
             deadline_seconds = 0.0002 + 0.0008 * deadline_rng.Uniform();
           }
         }
+        deadlines[i] = deadline_seconds;
         return pipeline.SubmitWithDeadline(op.request, deadline_seconds);
       };
       spa::Result<StreamTicketPtr> admitted = submit();
@@ -329,6 +333,13 @@ void RunDifferentialSchedule(uint64_t seed, BackpressurePolicy policy,
             // bitwise parity, and only kDegrade may raise it.
             EXPECT_EQ(config.policy, BackpressurePolicy::kDegrade);
             ++fallback_count;
+          } else if (deadlines[index] > 0.0) {
+            // A read is full-served only with positive slack at
+            // dequeue, and its deadline is stamped before its
+            // admission time: nothing full-serves after waiting out
+            // its deadline in the queue.
+            EXPECT_LT(ticket->queue_seconds(), deadlines[index])
+                << "op " << index << " full-served past its deadline";
           }
           reads.push_back(std::move(read));
           break;
@@ -349,6 +360,7 @@ void RunDifferentialSchedule(uint64_t seed, BackpressurePolicy policy,
     }
     live_stats = pipeline.stats();
   }
+  *pressed += fallback_count + dropped_reads;
 
   // Shed-quality accounting must agree with the observed tickets:
   // every degraded response was counted as a served fallback, every
@@ -488,10 +500,17 @@ TEST_P(ServingPipelineDifferentialTest,
        StreamedResponsesMatchSynchronousBatchAtPinnedVersions) {
   // 35 schedules per policy x 4 policies = 140 seeded schedules, with
   // the shard count varied across them.
+  uint64_t pressed = 0;
   for (uint64_t seed = 0; seed < 35; ++seed) {
     const size_t shards = 1 + seed % 4;
-    RunDifferentialSchedule(1000 + seed, GetParam(), shards);
+    RunDifferentialSchedule(1000 + seed, GetParam(), shards, &pressed);
     if (::testing::Test::HasFatalFailure()) return;
+  }
+  // Under kDegrade some knife-edge reads must actually be degraded,
+  // or the per-read deadline check above compared nothing but
+  // generous deadlines.
+  if (GetParam() == BackpressurePolicy::kDegrade) {
+    EXPECT_GT(pressed, 0u);
   }
 }
 
