@@ -112,12 +112,14 @@ int main() {
   }
   std::printf("recommended courses (emotion stage %s):\n",
               response.value().emotion_applied ? "applied" : "skipped");
-  for (const auto& item : response.value().items) {
+  for (size_t i = 0; i < response.value().items.size(); ++i) {
+    const auto& item = response.value().items[i];
+    const auto& breakdown = response.value().breakdowns[i];
     std::printf("  %-24s score %.3f  [base %.3f, emotion %+.3f]\n",
                 catalog.ById(item.item).value()->name.c_str(),
-                item.score, item.breakdown.base_share,
-                item.breakdown.emotion_delta);
-    for (const auto& c : item.breakdown.components) {
+                item.score, breakdown.base_share,
+                breakdown.emotion_delta);
+    for (const auto& c : breakdown.components) {
       std::printf("      %-14s w=%.2f contributed %.3f\n",
                   c.component.c_str(), c.weight, c.contribution);
     }

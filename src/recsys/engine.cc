@@ -64,6 +64,10 @@ struct RecsysEngine::ServeState {
   bool apply_emotion = false;
   std::vector<Ranked> ranked;
   RecommendResponse response;
+  /// The response's breakdowns while unexplained requests run: an
+  /// unexplained response carries none, and parking them here keeps
+  /// their component capacity for the thread's next explained miss.
+  std::vector<ScoreBreakdown> parked_breakdowns;
 
   /// Readies the state for the next request: containers are cleared,
   /// not shrunk — their capacities are why the state is reused. The
@@ -71,6 +75,10 @@ struct RecsysEngine::ServeState {
   void Reset(bool explain_flag) {
     explain = explain_flag;
     ranked.clear();
+    if (explain != response.breakdowns.empty()) return;
+    // Explained and empty, or unexplained and holding breakdowns: one
+    // side is always empty, so the swap moves the set where it is due.
+    response.breakdowns.swap(parked_breakdowns);
   }
 };
 
@@ -486,6 +494,7 @@ spa::Status RecsysEngine::RecommendFallbackInto(
                               : nullptr;
   out->user = request.user;
   out->items.clear();
+  out->breakdowns.clear();
   out->explained = false;
   out->emotion_applied = false;
   out->degraded = true;
@@ -696,21 +705,28 @@ void RecsysEngine::ServeExplain(const RecommendRequest& request,
   items.resize(state->ranked.size());
   for (size_t i = 0; i < items.size(); ++i) {
     const ServeState::Ranked& r = state->ranked[i];
+    items[i].item = blended[r.idx].item;
+    items[i].score = r.score;
+  }
+  if (!request.explain) {
+    timer.Stop();
+    return;
+  }
+  // Overwritten in place, never rebuilt: reused breakdowns keep their
+  // component capacity, so a warm explain miss allocates nothing.
+  std::vector<ScoreBreakdown>& breakdowns = state->response.breakdowns;
+  breakdowns.resize(items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    const ServeState::Ranked& r = state->ranked[i];
     const HybridRecommender::Blended& b = blended[r.idx];
-    RecommendedItem& item = items[i];
-    item.item = b.item;
-    item.score = r.score;
-    // Overwritten in place, never rebuilt: the reused item keeps its
-    // breakdown's component capacity, so a warm explain miss allocates
-    // nothing. Without `explain` every breakdown field reads zero.
-    ScoreBreakdown& breakdown = item.breakdown;
-    breakdown.base = request.explain ? b.score : 0.0;
-    breakdown.emotional_alignment = request.explain ? r.alignment : 0.0;
+    ScoreBreakdown& breakdown = breakdowns[i];
+    breakdown.base = b.score;
+    breakdown.emotional_alignment = r.alignment;
     breakdown.base_share =
         emotion ? reranker_.BlendScore(r.base_norm, 0.0) : breakdown.base;
     breakdown.emotion_delta = emotion ? r.score - breakdown.base_share : 0.0;
-    breakdown.components.resize(request.explain ? width : 0);
-    for (size_t ci = 0; ci < breakdown.components.size(); ++ci) {
+    breakdown.components.resize(width);
+    for (size_t ci = 0; ci < width; ++ci) {
       ComponentContribution& share = breakdown.components[ci];
       share.component = hybrid_->component_name(ci);
       share.weight = hybrid_->component_weight(ci);

@@ -15,8 +15,8 @@
 /// call is a rich contextual request (Santana & Domingues 2020; Zheng
 /// 2017) — the user plus cutoff, an explicit candidate policy, an
 /// optional emotional-context override, and an `explain` flag — not a
-/// bare `(user, k)` pair. Responses carry scored items with optional
-/// per-item score breakdowns.
+/// bare `(user, k)` pair. Responses carry scored items and, for
+/// explained requests, one score breakdown per item.
 
 namespace spa::recsys {
 
@@ -79,8 +79,6 @@ struct ScoreBreakdown {
 struct RecommendedItem {
   ItemId item = lifelog::kNoItem;
   double score = 0.0;
-  /// Populated only when the request asked for explanations.
-  ScoreBreakdown breakdown;
 };
 
 /// \brief The engine's answer to one request.
@@ -88,6 +86,10 @@ struct RecommendResponse {
   UserId user = 0;
   /// Ranked best-first; ties broken by ascending item id.
   std::vector<RecommendedItem> items;
+  /// `breakdowns[i]` explains `items[i]`; filled only when `explained`,
+  /// empty otherwise, so unexplained responses carry no breakdown
+  /// storage.
+  std::vector<ScoreBreakdown> breakdowns;
   /// True when breakdowns were filled.
   bool explained = false;
   /// True when the emotion-aware stage adjusted the ranking.

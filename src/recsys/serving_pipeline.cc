@@ -19,77 +19,97 @@ double SecondsBetween(Clock::time_point from, Clock::time_point to) {
 
 // ---- StreamTicket ----------------------------------------------------------
 
+namespace {
+
+bool IsTerminal(TicketState state) {
+  return state == TicketState::kDone || state == TicketState::kShed;
+}
+
+/// The results a read ticket reports.
+struct ReadTicket final : StreamTicket {
+  ReadTicket() : StreamTicket(StreamOpKind::kRecommend) {}
+  spa::Result<RecommendResponse> response{spa::Status::Internal("pending")};
+};
+
+/// The results a write ticket reports (one of the two, by kind).
+struct WriteTicket final : StreamTicket {
+  explicit WriteTicket(StreamOpKind kind) : StreamTicket(kind) {}
+  spa::Result<LiveUpdateReport> update_report{
+      spa::Status::Internal("pending")};
+  spa::Status sum_status = spa::Status::Internal("pending");
+};
+
+ReadTicket& AsRead(StreamTicket& ticket) {
+  SPA_DCHECK(ticket.kind() == StreamOpKind::kRecommend);
+  return static_cast<ReadTicket&>(ticket);
+}
+
+WriteTicket& AsWrite(StreamTicket& ticket) {
+  SPA_DCHECK(ticket.kind() != StreamOpKind::kRecommend);
+  return static_cast<WriteTicket&>(ticket);
+}
+
+}  // namespace
+
 bool StreamTicket::Poll() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return state_ == TicketState::kDone || state_ == TicketState::kShed;
+  return IsTerminal(state_.load(std::memory_order_acquire));
 }
 
 TicketState StreamTicket::Wait() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] {
-    return state_ == TicketState::kDone || state_ == TicketState::kShed;
-  });
-  return state_;
+  for (;;) {
+    const TicketState state = state_.load(std::memory_order_acquire);
+    if (IsTerminal(state)) return state;
+    state_.wait(state, std::memory_order_acquire);
+  }
 }
 
 TicketState StreamTicket::state() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return state_;
+  return state_.load(std::memory_order_acquire);
 }
 
 const spa::Result<RecommendResponse>& StreamTicket::response() const {
-  std::lock_guard<std::mutex> lock(mu_);
   SPA_CHECK(kind_ == StreamOpKind::kRecommend);
-  SPA_CHECK(state_ == TicketState::kDone ||
-            state_ == TicketState::kShed);
-  return response_;
+  SPA_CHECK(Poll());
+  return static_cast<const ReadTicket&>(*this).response;
 }
 
 const spa::Result<LiveUpdateReport>& StreamTicket::update_report()
     const {
-  std::lock_guard<std::mutex> lock(mu_);
   SPA_CHECK(kind_ == StreamOpKind::kInteractions);
-  SPA_CHECK(state_ == TicketState::kDone ||
-            state_ == TicketState::kShed);
-  return update_report_;
+  SPA_CHECK(Poll());
+  return static_cast<const WriteTicket&>(*this).update_report;
 }
 
 const spa::Status& StreamTicket::sum_status() const {
-  std::lock_guard<std::mutex> lock(mu_);
   SPA_CHECK(kind_ == StreamOpKind::kSumUpdates);
-  SPA_CHECK(state_ == TicketState::kDone ||
-            state_ == TicketState::kShed);
-  return sum_status_;
+  SPA_CHECK(Poll());
+  return static_cast<const WriteTicket&>(*this).sum_status;
 }
 
 const BatchPin& StreamTicket::pinned() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  SPA_CHECK(state_ == TicketState::kDone ||
-            state_ == TicketState::kShed);
+  SPA_CHECK(Poll());
   return pinned_;
 }
 
 double StreamTicket::queue_seconds() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  SPA_CHECK(Poll());
   return queue_seconds_;
 }
 
 double StreamTicket::serve_seconds() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  SPA_CHECK(Poll());
   return serve_seconds_;
 }
 
 void StreamTicket::Complete(TicketState terminal) {
-  SPA_CHECK(terminal == TicketState::kDone ||
-            terminal == TicketState::kShed);
-  Callback callback;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    state_ = terminal;
-    callback = std::move(on_complete_);
-  }
-  cv_.notify_all();
-  if (callback) callback(*this);
+  SPA_CHECK(IsTerminal(terminal));
+  state_.store(terminal, std::memory_order_release);
+  state_.notify_all();
+}
+
+void ServingPipeline::Finish(Op& op, TicketState terminal) {
+  op.ticket->Complete(terminal);
+  if (op.on_complete) op.on_complete(*op.ticket);
 }
 
 // ---- ServingPipeline -------------------------------------------------------
@@ -146,9 +166,8 @@ spa::Result<StreamTicketPtr> ServingPipeline::SubmitWithDeadline(
     RecommendRequest request, double deadline_seconds,
     StreamTicket::Callback on_complete) {
   Op op;
-  op.ticket = StreamTicketPtr(
-      new StreamTicket(StreamOpKind::kRecommend));
-  op.ticket->on_complete_ = std::move(on_complete);
+  op.ticket = std::make_shared<ReadTicket>();
+  op.on_complete = std::move(on_complete);
   op.request = std::move(request);
   if (deadline_seconds > 0.0) {
     op.has_deadline = true;
@@ -163,9 +182,8 @@ spa::Result<StreamTicketPtr> ServingPipeline::SubmitInteractions(
     std::vector<Interaction> batch,
     StreamTicket::Callback on_complete) {
   Op op;
-  op.ticket = StreamTicketPtr(
-      new StreamTicket(StreamOpKind::kInteractions));
-  op.ticket->on_complete_ = std::move(on_complete);
+  op.ticket = std::make_shared<WriteTicket>(StreamOpKind::kInteractions);
+  op.on_complete = std::move(on_complete);
   op.interactions = std::move(batch);
   return Admit(std::move(op), /*writer=*/true);
 }
@@ -183,9 +201,8 @@ spa::Result<StreamTicketPtr> ServingPipeline::SubmitSumUpdates(
         "needs one");
   }
   Op op;
-  op.ticket = StreamTicketPtr(
-      new StreamTicket(StreamOpKind::kSumUpdates));
-  op.ticket->on_complete_ = std::move(on_complete);
+  op.ticket = std::make_shared<WriteTicket>(StreamOpKind::kSumUpdates);
+  op.on_complete = std::move(on_complete);
   op.sum_updates = std::move(updates);
   return Admit(std::move(op), /*writer=*/true);
 }
@@ -231,23 +248,22 @@ spa::Result<StreamTicketPtr> ServingPipeline::Admit(Op op,
         lock.unlock();
         const auto status = spa::Status::ResourceExhausted(
             "shed by admission control (queue full, newest wins)");
-        {
-          std::lock_guard<std::mutex> ticket_lock(victim.ticket->mu_);
-          switch (victim.ticket->kind_) {
-            case StreamOpKind::kRecommend:
-              victim.ticket->response_ =
-                  spa::Result<RecommendResponse>(status);
-              break;
-            case StreamOpKind::kInteractions:
-              victim.ticket->update_report_ =
-                  spa::Result<LiveUpdateReport>(status);
-              break;
-            case StreamOpKind::kSumUpdates:
-              victim.ticket->sum_status_ = status;
-              break;
-          }
+        // The victim left the queue under mu_, so this thread alone
+        // writes its result.
+        switch (victim.ticket->kind()) {
+          case StreamOpKind::kRecommend:
+            AsRead(*victim.ticket).response =
+                spa::Result<RecommendResponse>(status);
+            break;
+          case StreamOpKind::kInteractions:
+            AsWrite(*victim.ticket).update_report =
+                spa::Result<LiveUpdateReport>(status);
+            break;
+          case StreamOpKind::kSumUpdates:
+            AsWrite(*victim.ticket).sum_status = status;
+            break;
         }
-        victim.ticket->Complete(TicketState::kShed);
+        Finish(victim, TicketState::kShed);
         lock.lock();
         if (stopping_) {
           return spa::Status::FailedPrecondition(
@@ -283,7 +299,7 @@ spa::Result<StreamTicketPtr> ServingPipeline::Admit(Op op,
           // The incoming op is the most pressed: answer it right here
           // and return its (already terminal) ticket without queueing.
           ++admitted_;
-          op.ticket->submitted_at_ = now;
+          op.submitted_at = now;
           StreamTicketPtr ticket = op.ticket;
           lock.unlock();
           DegradeRead(std::move(op), now);
@@ -304,7 +320,7 @@ spa::Result<StreamTicketPtr> ServingPipeline::Admit(Op op,
     }
   }
   ++admitted_;
-  op.ticket->submitted_at_ = Clock::now();
+  op.submitted_at = Clock::now();
   StreamTicketPtr ticket = op.ticket;
   queue.push_back(std::move(op));
   if (writer) {
@@ -381,18 +397,15 @@ void ServingPipeline::DrainLoop() {
 
 void ServingPipeline::ExecuteWrite(Op op) {
   const auto dequeued = Clock::now();
-  const double waited =
-      SecondsBetween(op.ticket->submitted_at_, dequeued);
+  const double waited = SecondsBetween(op.submitted_at, dequeued);
   hist_queue_wait_.Add(waited);
 
-  BatchPin pin;
-  spa::Result<LiveUpdateReport> report(
-      spa::Status::Internal("pending"));
-  spa::Status sum_status;
-  if (op.ticket->kind_ == StreamOpKind::kInteractions) {
-    report = engine_->ApplyInteractions(op.interactions);
-    if (report.ok()) {
-      pin.matrix_version = report.value().matrix_version;
+  WriteTicket& ticket = AsWrite(*op.ticket);
+  BatchPin& pin = ticket.pinned_;
+  if (ticket.kind() == StreamOpKind::kInteractions) {
+    ticket.update_report = engine_->ApplyInteractions(op.interactions);
+    if (ticket.update_report.ok()) {
+      pin.matrix_version = ticket.update_report.value().matrix_version;
     }
     pin.sum_version = sums_ != nullptr ? sums_->version() : 0;
   } else {
@@ -403,23 +416,15 @@ void ServingPipeline::ExecuteWrite(Op op) {
     // service (the router tier), reading version() afterwards could
     // observe a later concurrent publish.
     uint64_t published = 0;
-    sum_status = sums_->ApplyAll(op.sum_updates, &published);
-    pin.sum_version = sum_status.ok() ? published : sums_->version();
+    ticket.sum_status = sums_->ApplyAll(op.sum_updates, &published);
+    pin.sum_version =
+        ticket.sum_status.ok() ? published : sums_->version();
   }
   const double seconds = SecondsBetween(dequeued, Clock::now());
   hist_update_apply_.Add(seconds);
-  {
-    std::lock_guard<std::mutex> ticket_lock(op.ticket->mu_);
-    op.ticket->queue_seconds_ = waited;
-    op.ticket->serve_seconds_ = seconds;
-    op.ticket->pinned_ = pin;
-    if (op.ticket->kind_ == StreamOpKind::kInteractions) {
-      op.ticket->update_report_ = std::move(report);
-    } else {
-      op.ticket->sum_status_ = std::move(sum_status);
-    }
-  }
-  op.ticket->Complete(TicketState::kDone);
+  ticket.queue_seconds_ = waited;
+  ticket.serve_seconds_ = seconds;
+  Finish(op, TicketState::kDone);
 }
 
 size_t ServingPipeline::ExecuteReadBatch(std::vector<Op> batch) {
@@ -476,20 +481,16 @@ size_t ServingPipeline::ExecuteReadBatch(std::vector<Op> batch) {
   serve_estimate_nanos_.store(prev == 0 ? sample : (3 * prev + sample) / 4,
                               std::memory_order_relaxed);
   for (size_t i = 0; i < batch.size(); ++i) {
-    StreamTicket& ticket = *batch[i].ticket;
-    const double waited =
-        SecondsBetween(ticket.submitted_at_, dequeued);
+    Op& op = batch[i];
+    ReadTicket& ticket = AsRead(*op.ticket);
+    const double waited = SecondsBetween(op.submitted_at, dequeued);
     hist_queue_wait_.Add(waited);
-    {
-      std::lock_guard<std::mutex> ticket_lock(ticket.mu_);
-      ticket.queue_seconds_ = waited;
-      ticket.serve_seconds_ = serve_seconds;
-      ticket.pinned_ = pin;
-      ticket.response_ = std::move(results[i]);
-    }
-    hist_end_to_end_.Add(
-        SecondsBetween(ticket.submitted_at_, Clock::now()));
-    ticket.Complete(TicketState::kDone);
+    ticket.queue_seconds_ = waited;
+    ticket.serve_seconds_ = serve_seconds;
+    ticket.pinned_ = pin;
+    ticket.response = std::move(results[i]);
+    hist_end_to_end_.Add(SecondsBetween(op.submitted_at, Clock::now()));
+    Finish(op, TicketState::kDone);
   }
   return batch.size();
 }
@@ -501,51 +502,40 @@ void ServingPipeline::DegradeRead(Op op, Clock::time_point now) {
     // Past-deadline work is waste either way: complete as shed. No
     // histograms — the op was never served, and queue_wait's total
     // must keep matching responses + updates_applied.
-    {
-      std::lock_guard<std::mutex> ticket_lock(op.ticket->mu_);
-      op.ticket->response_ = spa::Result<RecommendResponse>(
-          spa::Status::ResourceExhausted(
-              "deadline expired before serving; dropped under kDegrade"));
-    }
+    AsRead(*op.ticket).response = spa::Result<RecommendResponse>(
+        spa::Status::ResourceExhausted(
+            "deadline expired before serving; dropped under kDegrade"));
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++shed_reads_;
       ++expired_drops_;
     }
-    op.ticket->Complete(TicketState::kShed);
+    Finish(op, TicketState::kShed);
     return;
   }
   // Slack remains: answer from the popularity fallback tier. This IS
   // a response — flagged degraded, pinned, both histograms recorded —
   // just a cheap one.
-  const double waited = SecondsBetween(op.ticket->submitted_at_, now);
+  const double waited = SecondsBetween(op.submitted_at, now);
   hist_queue_wait_.Add(waited);
-  BatchPin pin;
+  ReadTicket& ticket = AsRead(*op.ticket);
   RecommendResponse response;
   spa::Status status =
-      engine_->RecommendFallbackInto(op.request, &response, &pin);
-  const double serve_seconds = SecondsBetween(now, Clock::now());
-  {
-    std::lock_guard<std::mutex> ticket_lock(op.ticket->mu_);
-    op.ticket->queue_seconds_ = waited;
-    op.ticket->serve_seconds_ = serve_seconds;
-    op.ticket->pinned_ = pin;
-    if (status.ok()) {
-      op.ticket->response_ =
-          spa::Result<RecommendResponse>(std::move(response));
-    } else {
-      op.ticket->response_ =
-          spa::Result<RecommendResponse>(std::move(status));
-    }
+      engine_->RecommendFallbackInto(op.request, &response, &ticket.pinned_);
+  ticket.queue_seconds_ = waited;
+  ticket.serve_seconds_ = SecondsBetween(now, Clock::now());
+  if (status.ok()) {
+    ticket.response = spa::Result<RecommendResponse>(std::move(response));
+  } else {
+    ticket.response = spa::Result<RecommendResponse>(std::move(status));
   }
-  hist_end_to_end_.Add(
-      SecondsBetween(op.ticket->submitted_at_, Clock::now()));
+  hist_end_to_end_.Add(SecondsBetween(op.submitted_at, Clock::now()));
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++responses_;
     ++fallback_served_;
   }
-  op.ticket->Complete(TicketState::kDone);
+  Finish(op, TicketState::kDone);
 }
 
 void ServingPipeline::Flush() {

@@ -153,10 +153,24 @@ enum class TicketState { kQueued, kServing, kDone, kShed };
 /// \brief Caller's handle to one submitted op.
 ///
 /// Thread-safe; hold the `StreamTicketPtr` until the result has been
-/// read. Accessors that return results must only be called once the
-/// ticket is terminal (`Poll()` true / after `Wait()`).
+/// read. Accessors other than `kind()`, `Poll()`, `Wait()` and
+/// `state()` must only be called once the ticket is terminal (`Poll()`
+/// true / after `Wait()`): the one thread that completes a ticket
+/// writes its results before publishing the terminal state (release),
+/// and a reader that observed that state (acquire) sees them.
+///
+/// A ticket is one allocation with its shared_ptr control block, and
+/// holds only what its op kind reports: a read ticket carries the
+/// response, a write ticket the update report or publish status. The
+/// completion callback and admission time live with the queued op and
+/// are gone once the ticket completes.
 class StreamTicket {
  public:
+  /// Completion callback. It may inspect the ticket and re-submit, but
+  /// it runs on a drain worker — or, for tickets shed by kShedOldest,
+  /// on the thread whose Submit displaced them — so it must not block
+  /// for long and must not call Flush/Shutdown, which wait on the very
+  /// worker running it.
   using Callback = std::function<void(const StreamTicket&)>;
 
   StreamOpKind kind() const { return kind_; }
@@ -184,37 +198,26 @@ class StreamTicket {
   /// shed tickets.
   const BatchPin& pinned() const;
 
-  /// Seconds between admission and dequeue / dequeue and completion.
+  /// Seconds between admission and dequeue / dequeue and completion
+  /// (terminal; zeros for shed tickets).
   double queue_seconds() const;
   double serve_seconds() const;
+
+ protected:
+  explicit StreamTicket(StreamOpKind kind) : kind_(kind) {}
 
  private:
   friend class ServingPipeline;
 
-  explicit StreamTicket(StreamOpKind kind) : kind_(kind) {}
-
-  /// Publishes the terminal state, wakes waiters, then fires the
-  /// completion callback (outside the ticket lock; the callback may
-  /// inspect the ticket and re-submit, but it runs on a drain worker —
-  /// or, for tickets shed by kShedOldest, on the thread whose Submit
-  /// displaced them: it must not block for long and must not call
-  /// Flush/Shutdown, which wait on the very worker running it).
+  /// Publishes the terminal state and wakes waiters. The caller has
+  /// written the results and fires the op's completion callback after.
   void Complete(TicketState terminal);
 
-  mutable std::mutex mu_;
-  mutable std::condition_variable cv_;
   StreamOpKind kind_;
-  TicketState state_ = TicketState::kQueued;
-  spa::Result<RecommendResponse> response_{
-      spa::Status::Internal("pending")};
-  spa::Result<LiveUpdateReport> update_report_{
-      spa::Status::Internal("pending")};
-  spa::Status sum_status_ = spa::Status::Internal("pending");
+  std::atomic<TicketState> state_{TicketState::kQueued};
   BatchPin pinned_;
   double queue_seconds_ = 0.0;
   double serve_seconds_ = 0.0;
-  Callback on_complete_;
-  std::chrono::steady_clock::time_point submitted_at_;
 };
 
 using StreamTicketPtr = std::shared_ptr<StreamTicket>;
@@ -314,6 +317,9 @@ class ServingPipeline {
  private:
   struct Op {
     StreamTicketPtr ticket;
+    /// Fired once, right after the ticket turns terminal.
+    StreamTicket::Callback on_complete;
+    std::chrono::steady_clock::time_point submitted_at{};
     RecommendRequest request;                // kRecommend
     std::vector<Interaction> interactions;   // kInteractions
     std::vector<sum::SumUpdate> sum_updates; // kSumUpdates
@@ -323,6 +329,9 @@ class ServingPipeline {
   };
 
   spa::Result<StreamTicketPtr> Admit(Op op, bool writer);
+  /// Turns `op`'s ticket terminal, then fires its callback (never
+  /// under mu_: the callback is caller code).
+  static void Finish(Op& op, TicketState terminal);
   void DrainLoop();
   void ExecuteWrite(Op op);
   /// Serves one dequeued read micro-batch. Under kDegrade ops are

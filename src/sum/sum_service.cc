@@ -1,6 +1,6 @@
 #include "sum/sum_service.h"
 
-#include <bit>
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -13,28 +13,83 @@ namespace spa::sum {
 
 // ---- SumSnapshot -----------------------------------------------------------
 
-SumSnapshot::SumSnapshot(const AttributeCatalog* catalog,
-                         size_t shard_count)
-    : catalog_(catalog),
-      order_(std::make_shared<const std::vector<UserId>>()) {
-  SPA_CHECK(catalog != nullptr);
-  SPA_CHECK(shard_count > 0 && std::has_single_bit(shard_count));
-  shards_.reserve(shard_count);
-  for (size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_shared<const Shard>());
-  }
-  shard_mask_ = shard_count - 1;
+namespace {
+
+uint64_t HashOf(UserId user) {
+  return SplitMix64(static_cast<uint64_t>(user));
 }
 
-size_t SumSnapshot::ShardIndexOf(UserId user) const {
-  return static_cast<size_t>(
-      SplitMix64(static_cast<uint64_t>(user)) & shard_mask_);
+// The radix path: the hash's top six bits pick the group, the next six
+// the leaf.
+size_t GroupOf(uint64_t hash) { return static_cast<size_t>(hash >> 58); }
+size_t LeafOf(uint64_t hash) {
+  return static_cast<size_t>(hash >> 52) & 63;
+}
+
+// First entry of a user-sorted leaf whose user is not below `user`.
+template <typename Leaf>
+auto LowerBound(Leaf& leaf, UserId user) {
+  return std::lower_bound(
+      leaf.begin(), leaf.end(), user,
+      [](const auto& entry, UserId key) { return entry.user < key; });
+}
+
+}  // namespace
+
+SumSnapshot::SumSnapshot(const AttributeCatalog* catalog)
+    : catalog_(catalog) {
+  SPA_CHECK(catalog != nullptr);
 }
 
 const SumSnapshot::Entry* SumSnapshot::FindEntry(UserId user) const {
-  const auto& models = shards_[ShardIndexOf(user)]->models;
-  const auto it = models.find(user);
-  return it == models.end() ? nullptr : &it->second;
+  const uint64_t hash = HashOf(user);
+  const auto& group = top_[GroupOf(hash)];
+  if (group == nullptr) return nullptr;
+  const auto& leaf = (*group)[LeafOf(hash)];
+  if (leaf == nullptr) return nullptr;
+  const auto it = LowerBound(*leaf, user);
+  return it != leaf->end() && it->user == user ? &*it : nullptr;
+}
+
+SumSnapshot::Leaf* SumSnapshot::MutableLeaf(uint64_t hash,
+                                            EditCursor* cursor) {
+  const size_t group = GroupOf(hash);
+  const size_t leaf = LeafOf(hash);
+  if (group != cursor->group) {
+    const auto& shared = top_[group];
+    cursor->group_copy = shared != nullptr
+                             ? std::make_shared<Group>(*shared)
+                             : std::make_shared<Group>();
+    top_[group] = cursor->group_copy;
+    cursor->group = group;
+    cursor->leaf = kFanout;
+  }
+  if (leaf != cursor->leaf) {
+    const auto& shared = (*cursor->group_copy)[leaf];
+    cursor->leaf_copy = shared != nullptr ? std::make_shared<Leaf>(*shared)
+                                          : std::make_shared<Leaf>();
+    (*cursor->group_copy)[leaf] = cursor->leaf_copy;
+    cursor->leaf = leaf;
+  }
+  return cursor->leaf_copy.get();
+}
+
+std::vector<const SumSnapshot::Entry*>
+SumSnapshot::EntriesInCreationOrder() const {
+  std::vector<const Entry*> entries;
+  entries.reserve(size_);
+  for (const auto& group : top_) {
+    if (group == nullptr) continue;
+    for (const auto& leaf : *group) {
+      if (leaf == nullptr) continue;
+      for (const Entry& entry : *leaf) entries.push_back(&entry);
+    }
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const Entry* a, const Entry* b) {
+              return a->created < b->created;
+            });
+  return entries;
 }
 
 uint64_t SumSnapshot::UserVersion(UserId user) const {
@@ -61,13 +116,18 @@ bool SumSnapshot::Contains(UserId user) const {
   return FindEntry(user) != nullptr;
 }
 
+std::vector<UserId> SumSnapshot::users() const {
+  std::vector<UserId> users;
+  users.reserve(size_);
+  for (const Entry* entry : EntriesInCreationOrder()) {
+    users.push_back(entry->user);
+  }
+  return users;
+}
+
 void SumSnapshot::ForEach(
     const std::function<void(const SmartUserModel&)>& fn) const {
-  for (UserId user : *order_) {
-    const Entry* entry = FindEntry(user);
-    SPA_CHECK(entry != nullptr);
-    fn(*entry->model);
-  }
+  for (const Entry* entry : EntriesInCreationOrder()) fn(*entry->model);
 }
 
 std::string SumSnapshot::ToCsv() const {
@@ -82,21 +142,11 @@ std::string SumSnapshot::ToCsv() const {
 
 // ---- SumService ------------------------------------------------------------
 
-namespace {
-
-size_t ResolveShardCount(size_t requested) {
-  return std::bit_ceil(requested == 0 ? size_t{1} : requested);
-}
-
-}  // namespace
-
 SumService::SumService(const AttributeCatalog* catalog,
                        SumServiceConfig config)
-    : catalog_(catalog),
-      updater_(config.reinforcement),
-      shard_count_(ResolveShardCount(config.user_shards)) {
+    : catalog_(catalog), updater_(config.reinforcement) {
   SPA_CHECK(catalog != nullptr);
-  head_ = SumSnapshotPtr(new SumSnapshot(catalog, shard_count_));
+  head_ = SumSnapshotPtr(new SumSnapshot(catalog));
 }
 
 SumSnapshotPtr SumService::snapshot() const {
@@ -169,11 +219,16 @@ void ApplyOps(const ReinforcementUpdater& updater, const SumUpdate& update,
 }  // namespace
 
 spa::Status SumService::Apply(const SumUpdate& update) {
-  return ApplyAll({update});
+  return Commit({&update, 1}, nullptr);
 }
 
 spa::Status SumService::ApplyAll(const std::vector<SumUpdate>& updates,
                                  uint64_t* published_version) {
+  return Commit(updates, published_version);
+}
+
+spa::Status SumService::Commit(std::span<const SumUpdate> updates,
+                               uint64_t* published_version) {
   if (updates.empty()) {
     if (published_version != nullptr) *published_version = version();
     return spa::Status::OK();
@@ -183,52 +238,54 @@ spa::Status SumService::ApplyAll(const std::vector<SumUpdate>& updates,
   }
 
   std::lock_guard<std::mutex> writer(write_mutex_);
-  // Copy-on-write publish at shard granularity: the new snapshot
-  // shares every shard pointer (and the creation-order vector) with
-  // the head; only shards the batch touches are cloned below, and only
-  // touched users' models inside them.
-  auto next = std::shared_ptr<SumSnapshot>(new SumSnapshot(*snapshot()));
+  // Copy-on-write publish: the new snapshot starts as a copy of the
+  // head's 64 group pointers; below, each touched user's group and leaf
+  // are copied and the user's model is cloned, and everything else
+  // stays shared with the head.
+  auto next = std::make_shared<SumSnapshot>(*snapshot());
   const uint64_t version = next->version_ + 1;
 
-  // Mutable clones of the shards this batch touches, made at most once
-  // per shard per publish.
-  std::vector<std::shared_ptr<SumSnapshot::Shard>> cloned(
-      next->shards_.size());
-  const auto mutable_shard = [&](size_t index) -> SumSnapshot::Shard* {
-    auto& slot = cloned[index];
-    if (slot == nullptr) {
-      slot = std::make_shared<SumSnapshot::Shard>(*next->shards_[index]);
-      next->shards_[index] = slot;
-    }
-    return slot.get();
+  // Visit the batch in hash order, ties in batch order: each user's
+  // updates are then adjacent and apply in submission order, and the
+  // radix paths arrive in the ascending order MutableLeaf needs.
+  struct Touch {
+    uint64_t hash;
+    size_t index;
   };
-  // Creation order is cloned lazily: a batch that only touches
-  // existing users shares the previous snapshot's vector.
-  std::shared_ptr<std::vector<UserId>> new_order;
+  std::vector<Touch> touches;
+  touches.reserve(updates.size());
+  for (size_t i = 0; i < updates.size(); ++i) {
+    touches.push_back({HashOf(updates[i].user()), i});
+  }
+  std::sort(touches.begin(), touches.end(),
+            [](const Touch& a, const Touch& b) {
+              return a.hash != b.hash ? a.hash < b.hash : a.index < b.index;
+            });
 
-  std::unordered_map<UserId, std::shared_ptr<SmartUserModel>> touched;
-  for (const SumUpdate& update : updates) {
-    auto& clone = touched[update.user()];
-    if (clone == nullptr) {
-      const SumSnapshot::Entry* entry = next->FindEntry(update.user());
-      if (entry != nullptr) {
-        clone = std::make_shared<SmartUserModel>(*entry->model);
-      } else {
-        clone = std::make_shared<SmartUserModel>(update.user(), catalog_);
-        if (new_order == nullptr) {
-          new_order =
-              std::make_shared<std::vector<UserId>>(*next->order_);
-        }
-        new_order->push_back(update.user());
-      }
+  SumSnapshot::EditCursor cursor;
+  for (size_t run = 0; run < touches.size();) {
+    // SplitMix64 is a bijection, so one hash is one user.
+    const uint64_t hash = touches[run].hash;
+    const UserId user = updates[touches[run].index].user();
+    SumSnapshot::Leaf& leaf = *next->MutableLeaf(hash, &cursor);
+    auto it = LowerBound(leaf, user);
+    std::shared_ptr<SmartUserModel> model;
+    if (it != leaf.end() && it->user == user) {
+      model = std::make_shared<SmartUserModel>(*it->model);
+    } else {
+      model = std::make_shared<SmartUserModel>(user, catalog_);
+      // The user's first update in the batch fixes its creation rank.
+      it = leaf.insert(it, {user, nullptr, 0,
+                            next->next_created_ + touches[run].index});
+      ++next->size_;
     }
-    ApplyOps(updater_, update, clone.get());
+    for (; run < touches.size() && touches[run].hash == hash; ++run) {
+      ApplyOps(updater_, updates[touches[run].index], model.get());
+    }
+    it->model = std::move(model);
+    it->version = version;
   }
-  for (auto& [user, clone] : touched) {
-    mutable_shard(next->ShardIndexOf(user))->models[user] = {
-        std::move(clone), version};
-  }
-  if (new_order != nullptr) next->order_ = std::move(new_order);
+  next->next_created_ += updates.size();
   next->version_ = version;
   Publish(std::move(next));
   if (published_version != nullptr) *published_version = version;
@@ -248,22 +305,32 @@ spa::Status SumService::DecayAll(AttributeKind kind) {
 
 void SumService::Reset(const SumStore& store) {
   std::lock_guard<std::mutex> writer(write_mutex_);
-  auto next = std::shared_ptr<SumSnapshot>(
-      new SumSnapshot(catalog_, shard_count_));
+  auto next = std::shared_ptr<SumSnapshot>(new SumSnapshot(catalog_));
   const uint64_t version = snapshot()->version() + 1;
-  std::vector<std::shared_ptr<SumSnapshot::Shard>> fresh(shard_count_);
-  auto order = std::make_shared<std::vector<UserId>>();
+  // Creation rank = position in the store's creation order; insertion
+  // runs in hash order so each leaf is built once.
+  struct Row {
+    uint64_t hash;
+    const SmartUserModel* model;
+    uint64_t created;
+  };
+  std::vector<Row> rows;
+  rows.reserve(store.size());
   store.ForEach([&](const SmartUserModel& model) {
-    const size_t index = next->ShardIndexOf(model.user());
-    if (fresh[index] == nullptr) {
-      fresh[index] = std::make_shared<SumSnapshot::Shard>();
-      next->shards_[index] = fresh[index];
-    }
-    fresh[index]->models[model.user()] = {
-        std::make_shared<SmartUserModel>(model), version};
-    order->push_back(model.user());
+    rows.push_back({HashOf(model.user()), &model, rows.size()});
   });
-  next->order_ = std::move(order);
+  std::sort(rows.begin(), rows.end(),
+            [](const Row& a, const Row& b) { return a.hash < b.hash; });
+  SumSnapshot::EditCursor cursor;
+  for (const Row& row : rows) {
+    SumSnapshot::Leaf& leaf = *next->MutableLeaf(row.hash, &cursor);
+    leaf.insert(LowerBound(leaf, row.model->user()),
+                {row.model->user(),
+                 std::make_shared<SmartUserModel>(*row.model), version,
+                 row.created});
+  }
+  next->size_ = rows.size();
+  next->next_created_ = rows.size();
   next->version_ = version;
   Publish(std::move(next));
 }

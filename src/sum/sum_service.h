@@ -1,12 +1,13 @@
 #ifndef SPA_SUM_SUM_SERVICE_H_
 #define SPA_SUM_SUM_SERVICE_H_
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -28,14 +29,17 @@
 ///  * every publish bumps a global monotonic version and stamps each
 ///    touched user with it (per-user versions), which is the
 ///    invalidation signal the engine's response cache keys on;
-///  * snapshots are copy-on-write at *user-shard* granularity: users
-///    hash onto a fixed power-of-two number of sub-maps
-///    (`SumServiceConfig::user_shards`), and a publish clones only the
-///    shards its batch touches — a single-user `Apply` copies one
-///    shard's map of `users/S` entries plus that user's model, not the
-///    world. Untouched shards (and the creation-order vector, when no
-///    new user appears) are shared with the previous snapshot by
-///    `shared_ptr`;
+///  * snapshots are copy-on-write over a fixed two-level radix table:
+///    `SplitMix64(user)` picks one of 64 groups, then one of 64 leaves
+///    in that group, and a leaf is a flat vector of the users that
+///    hash there, sorted by user id. A publish copies the 64-pointer
+///    top, and for each touched user one group, one leaf and that
+///    user's model; everything else is shared with the previous
+///    snapshot by `shared_ptr`. A single-user publish therefore costs
+///    the same at a thousand users as at a hundred thousand (about 24
+///    users per leaf at 100k), and creating a user costs no more than
+///    updating one: each entry carries a creation sequence number, and
+///    creation order is recovered by sorting on demand;
 ///  * readers holding a snapshot observe a frozen, consistent view no
 ///    matter how many updates land concurrently — update-while-serve
 ///    is safe by construction.
@@ -65,18 +69,18 @@ class SumSnapshot {
   const SmartUserModel* GetOrNull(UserId user) const;
 
   bool Contains(UserId user) const;
-  size_t size() const { return order_->size(); }
+  size_t size() const { return size_; }
 
-  /// Users in creation order.
-  const std::vector<UserId>& users() const { return *order_; }
+  /// Users in creation order. Sorted on demand (O(n log n)); meant for
+  /// serialization and maintenance sweeps, not the serve path.
+  std::vector<UserId> users() const;
 
+  /// Visits every model in creation order (sorted on demand, like
+  /// `users()`).
   void ForEach(
       const std::function<void(const SmartUserModel&)>& fn) const;
 
   const AttributeCatalog& catalog() const { return *catalog_; }
-
-  /// Number of copy-on-write user shards (a power of two).
-  size_t shard_count() const { return shards_.size(); }
 
   /// Serializes the snapshot in the SumStore CSV schema.
   std::string ToCsv() const;
@@ -84,28 +88,49 @@ class SumSnapshot {
  private:
   friend class SumService;
 
+  /// Radix fan-out of each table level (64 groups x 64 leaves).
+  static constexpr size_t kFanout = 64;
+
   struct Entry {
+    UserId user = 0;
     std::shared_ptr<const SmartUserModel> model;
+    /// Version of the publish that last touched the user.
     uint64_t version = 0;
+    /// Creation sequence number: ascending in creation order.
+    uint64_t created = 0;
+  };
+  /// The users whose hash lands here, sorted by user id. Immutable once
+  /// published; a publish that touches one of them copies the leaf.
+  using Leaf = std::vector<Entry>;
+  /// A null slot is an empty leaf (or, at the top, an empty group).
+  using Group = std::array<std::shared_ptr<const Leaf>, kFanout>;
+
+  /// Where a copy-on-write edit of an unpublished snapshot stands: the
+  /// group and leaf it copied last.
+  struct EditCursor {
+    size_t group = kFanout;
+    size_t leaf = kFanout;
+    std::shared_ptr<Group> group_copy;
+    std::shared_ptr<Leaf> leaf_copy;
   };
 
-  /// One copy-on-write sub-map. Immutable once published; a publish
-  /// that touches a user clones that user's shard and shares the rest.
-  struct Shard {
-    std::unordered_map<UserId, Entry> models;
-  };
+  explicit SumSnapshot(const AttributeCatalog* catalog);
 
-  SumSnapshot(const AttributeCatalog* catalog, size_t shard_count);
-
-  size_t ShardIndexOf(UserId user) const;
   const Entry* FindEntry(UserId user) const;
+  /// The writable leaf `hash` maps to in this unpublished snapshot.
+  /// Callers visit hashes in ascending order through one `cursor`, so
+  /// each touched group and leaf is copied exactly once.
+  Leaf* MutableLeaf(uint64_t hash, EditCursor* cursor);
+  /// Every entry, in creation order.
+  std::vector<const Entry*> EntriesInCreationOrder() const;
 
   const AttributeCatalog* catalog_;
-  std::vector<std::shared_ptr<const Shard>> shards_;
-  /// Shared across publishes; copied only when a batch creates users.
-  std::shared_ptr<const std::vector<UserId>> order_;
+  std::array<std::shared_ptr<const Group>, kFanout> top_;
   uint64_t version_ = 0;
-  uint64_t shard_mask_ = 0;
+  size_t size_ = 0;
+  /// Sequence base of the next publish: a user created by the update at
+  /// batch position i gets `next_created_ + i`.
+  uint64_t next_created_ = 0;
 };
 
 /// Shared handle to a pinned snapshot.
@@ -114,11 +139,6 @@ using SumSnapshotPtr = std::shared_ptr<const SumSnapshot>;
 struct SumServiceConfig {
   /// Parameters of the kReward / kPunish / kDecay ops.
   ReinforcementConfig reinforcement;
-  /// Copy-on-write user shards per snapshot; rounded up to a power of
-  /// two (minimum 1). More shards make single-user publishes cheaper
-  /// (one shard copy of ~users/S entries) at the cost of a slightly
-  /// larger per-publish fixed overhead (the shard-pointer vector).
-  size_t user_shards = 32;
 };
 
 /// \brief Owner of the live SUM state behind the mutation API.
@@ -153,7 +173,7 @@ class SumService {
   spa::Status Apply(const SumUpdate& update);
 
   /// Applies a batch atomically under a single version bump (one
-  /// publish; clones only the touched shards — the cheap path for bulk
+  /// publish; copies only the touched leaves — the cheap path for bulk
   /// maintenance). All-or-nothing: any invalid update rejects the
   /// whole batch. `published_version` (optional) receives the version
   /// this call published — read it from here, not from `version()`
@@ -179,11 +199,14 @@ class SumService {
 
  private:
   spa::Status Validate(const SumUpdate& update) const;
+  /// `Apply` and `ApplyAll` share this body; a span lets a single
+  /// update publish without being copied into a vector.
+  spa::Status Commit(std::span<const SumUpdate> updates,
+                     uint64_t* published_version);
   void Publish(SumSnapshotPtr next);
 
   const AttributeCatalog* catalog_;
   ReinforcementUpdater updater_;
-  size_t shard_count_;
 
   /// Serializes writers (Apply/ApplyAll/Reset).
   std::mutex write_mutex_;

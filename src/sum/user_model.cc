@@ -11,49 +11,61 @@ SmartUserModel::SmartUserModel(UserId user,
                                const AttributeCatalog* catalog)
     : user_(user), catalog_(catalog) {
   SPA_CHECK(catalog != nullptr);
-  values_.resize(catalog->size());
-  sensibility_.assign(catalog->size(), 0.0);
-  evidence_.assign(catalog->size(), 0.0);
-  for (size_t i = 0; i < catalog->size(); ++i) {
-    values_[i] = catalog->defs()[i].default_value;
-  }
+}
+
+const SmartUserModel::Slot* SmartUserModel::Find(AttributeId id) const {
+  SPA_DCHECK(id >= 0 && static_cast<size_t>(id) < catalog_->size());
+  const auto it = std::lower_bound(
+      slots_.begin(), slots_.end(), id,
+      [](const Slot& slot, AttributeId key) { return slot.id < key; });
+  return it != slots_.end() && it->id == id ? &*it : nullptr;
+}
+
+SmartUserModel::Slot& SmartUserModel::Touch(AttributeId id) {
+  SPA_DCHECK(id >= 0 && static_cast<size_t>(id) < catalog_->size());
+  const auto it = std::lower_bound(
+      slots_.begin(), slots_.end(), id,
+      [](const Slot& slot, AttributeId key) { return slot.id < key; });
+  if (it != slots_.end() && it->id == id) return *it;
+  return *slots_.insert(
+      it, Slot{id, catalog_->defs()[static_cast<size_t>(id)].default_value,
+               0.0, 0.0});
 }
 
 double SmartUserModel::value(AttributeId id) const {
-  SPA_DCHECK(id >= 0 && static_cast<size_t>(id) < values_.size());
-  return values_[static_cast<size_t>(id)];
+  const Slot* slot = Find(id);
+  return slot != nullptr
+             ? slot->value
+             : catalog_->defs()[static_cast<size_t>(id)].default_value;
 }
 
 void SmartUserModel::set_value(AttributeId id, double v) {
-  SPA_DCHECK(id >= 0 && static_cast<size_t>(id) < values_.size());
-  values_[static_cast<size_t>(id)] = std::clamp(v, 0.0, 1.0);
+  Touch(id).value = std::clamp(v, 0.0, 1.0);
 }
 
 double SmartUserModel::sensibility(AttributeId id) const {
-  SPA_DCHECK(id >= 0 && static_cast<size_t>(id) < sensibility_.size());
-  return sensibility_[static_cast<size_t>(id)];
+  const Slot* slot = Find(id);
+  return slot != nullptr ? slot->sensibility : 0.0;
 }
 
 void SmartUserModel::set_sensibility(AttributeId id, double w) {
-  SPA_DCHECK(id >= 0 && static_cast<size_t>(id) < sensibility_.size());
-  sensibility_[static_cast<size_t>(id)] = std::clamp(w, 0.0, 1.0);
+  Touch(id).sensibility = std::clamp(w, 0.0, 1.0);
 }
 
 double SmartUserModel::evidence(AttributeId id) const {
-  SPA_DCHECK(id >= 0 && static_cast<size_t>(id) < evidence_.size());
-  return evidence_[static_cast<size_t>(id)];
+  const Slot* slot = Find(id);
+  return slot != nullptr ? slot->evidence : 0.0;
 }
 
 void SmartUserModel::add_evidence(AttributeId id, double amount) {
-  SPA_DCHECK(id >= 0 && static_cast<size_t>(id) < evidence_.size());
-  evidence_[static_cast<size_t>(id)] += amount;
+  Touch(id).evidence += amount;
 }
 
 std::vector<DominantAttribute> SmartUserModel::Dominant(
     AttributeKind kind, double threshold, size_t max_count) const {
   std::vector<DominantAttribute> out;
   for (AttributeId id : catalog_->ids_of(kind)) {
-    const double w = sensibility_[static_cast<size_t>(id)];
+    const double w = sensibility(id);
     if (w >= threshold) out.push_back({id, w});
   }
   std::sort(out.begin(), out.end(),
@@ -92,7 +104,7 @@ ml::SparseVector SmartUserModel::Features(
   for (const AttributeDef& def : catalog_->defs()) {
     const bool emotional = def.kind == AttributeKind::kEmotional;
     if (emotional && !include_emotional) continue;
-    const double v = values_[static_cast<size_t>(def.id)];
+    const double v = value(def.id);
     if (v != 0.0) {
       const auto idx = space.IndexOf(
           spa::StrFormat("sum.value.%s", def.name.c_str()));
@@ -100,7 +112,7 @@ ml::SparseVector SmartUserModel::Features(
       entries.push_back({idx.value(), v});
     }
     if (emotional) {
-      const double w = sensibility_[static_cast<size_t>(def.id)];
+      const double w = sensibility(def.id);
       if (w != 0.0) {
         const auto idx = space.IndexOf(
             spa::StrFormat("sum.sens.%s", def.name.c_str()));

@@ -67,11 +67,24 @@ class SmartUserModel {
                                lifelog::FeatureSpace* space);
 
  private:
+  /// One touched attribute's state.
+  struct Slot {
+    AttributeId id;
+    double value;
+    double sensibility;
+    double evidence;
+  };
+
+  /// The attribute's slot, or nullptr when it was never touched.
+  const Slot* Find(AttributeId id) const;
+  /// The attribute's slot, inserted with the untouched state (catalog
+  /// default value, sensibility 0, evidence 0) when absent.
+  Slot& Touch(AttributeId id);
+
   UserId user_;
   const AttributeCatalog* catalog_;
-  std::vector<double> values_;
-  std::vector<double> sensibility_;
-  std::vector<double> evidence_;
+  /// Touched attributes, sorted by id.
+  std::vector<Slot> slots_;
 };
 
 }  // namespace spa::sum

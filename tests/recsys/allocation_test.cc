@@ -1,10 +1,11 @@
 // Allocation-count regression for the serve hot path: a warm
 // `RecommendInto` must perform ZERO heap allocations, on cache hits and
-// on computed misses (explain on or off). This TU replaces the global
-// operator new/delete with counting versions (binary-wide — the
-// replacements just delegate to malloc/free, so every other test is
-// unaffected) and asserts that a window of warm calls never enters the
-// allocator.
+// on computed misses (explain on or off); and a one-user SUM publish
+// must allocate a small constant, whatever the population. This TU
+// replaces the global operator new/delete with counting versions
+// (binary-wide — the replacements just delegate to malloc/free, so
+// every other test is unaffected) and counts the calls inside a
+// measured window.
 
 #include <atomic>
 #include <cstdint>
@@ -19,6 +20,7 @@
 #include "recsys/recsys_test_util.h"
 #include "recsys/request.h"
 #include "sum/sum_service.h"
+#include "sum/sum_update.h"
 
 namespace {
 
@@ -248,6 +250,35 @@ TEST_F(AllocationRegressionTest, RecomputePathStillProducesResults) {
   EXPECT_TRUE(ok);
   EXPECT_GT(g_new_calls.load(std::memory_order_relaxed), 0u);
   EXPECT_FALSE(out.items.empty());
+}
+
+TEST_F(AllocationRegressionTest, SingleUserPublishIsPopulationIndependent) {
+  // A one-user Apply copies the snapshot's group pointers, one radix
+  // group, one leaf and the user's model: the same handful of
+  // allocations at a thousand users as at a hundred thousand.
+  const sum::AttributeId attribute =
+      catalog_.EmotionalId(eit::EmotionalAttribute::kEnthusiastic);
+  const auto publish_allocs = [&](UserId population) -> uint64_t {
+    sum::SumService service(&catalog_);
+    std::vector<sum::SumUpdate> bootstrap;
+    for (UserId user = 0; user < population; ++user) {
+      bootstrap.push_back(sum::SumUpdate(user).SetSensibility(attribute, 0.5));
+    }
+    EXPECT_TRUE(service.ApplyAll(bootstrap).ok());
+    const sum::SumUpdate update = sum::SumUpdate(7).Reward(attribute, 1.0);
+    g_new_calls.store(0, std::memory_order_relaxed);
+    g_counting.store(true, std::memory_order_release);
+    const bool ok = service.Apply(update).ok();
+    g_counting.store(false, std::memory_order_release);
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(service.size(), static_cast<size_t>(population));
+    return g_new_calls.load(std::memory_order_relaxed);
+  };
+  const uint64_t small = publish_allocs(1000);
+  const uint64_t large = publish_allocs(100000);
+  EXPECT_EQ(small, large)
+      << "a one-user publish allocates more as the population grows";
+  EXPECT_LE(large, 8u);
 }
 
 }  // namespace

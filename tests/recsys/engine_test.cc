@@ -200,19 +200,23 @@ TEST_F(EngineTest, ExplainBreakdownIsConsistent) {
   EXPECT_TRUE(response.value().explained);
   EXPECT_TRUE(response.value().emotion_applied);
   ASSERT_FALSE(response.value().items.empty());
-  for (const auto& item : response.value().items) {
+  ASSERT_EQ(response.value().breakdowns.size(),
+            response.value().items.size());
+  for (size_t i = 0; i < response.value().items.size(); ++i) {
+    const RecommendedItem& item = response.value().items[i];
+    const ScoreBreakdown& breakdown = response.value().breakdowns[i];
     // Final score decomposes into base share + emotional delta.
-    EXPECT_NEAR(item.breakdown.base_share + item.breakdown.emotion_delta,
+    EXPECT_NEAR(breakdown.base_share + breakdown.emotion_delta,
                 item.score, 1e-12);
     // Component contributions sum to the blended base score.
-    ASSERT_EQ(item.breakdown.components.size(), 2u);
+    ASSERT_EQ(breakdown.components.size(), 2u);
     double component_sum = 0.0;
-    for (const auto& c : item.breakdown.components) {
+    for (const auto& c : breakdown.components) {
       component_sum += c.contribution;
     }
-    EXPECT_NEAR(component_sum, item.breakdown.base, 1e-12);
-    EXPECT_GE(item.breakdown.emotional_alignment, -1.0);
-    EXPECT_LE(item.breakdown.emotional_alignment, 1.0);
+    EXPECT_NEAR(component_sum, breakdown.base, 1e-12);
+    EXPECT_GE(breakdown.emotional_alignment, -1.0);
+    EXPECT_LE(breakdown.emotional_alignment, 1.0);
   }
 }
 
@@ -224,9 +228,8 @@ TEST_F(EngineTest, ExplainOffLeavesBreakdownEmpty) {
   const auto response = engine->Recommend(request);
   ASSERT_TRUE(response.ok());
   EXPECT_FALSE(response.value().explained);
-  for (const auto& item : response.value().items) {
-    EXPECT_TRUE(item.breakdown.components.empty());
-  }
+  EXPECT_FALSE(response.value().items.empty());
+  EXPECT_TRUE(response.value().breakdowns.empty());
 }
 
 TEST_F(EngineTest, EmotionOverrideReplacesStoreLookup) {

@@ -122,17 +122,18 @@ void ExpectBitwiseEqual(const RecommendResponse& streamed,
     const RecommendedItem& b = reference.items[i];
     EXPECT_EQ(a.item, b.item) << context << " rank " << i;
     EXPECT_EQ(a.score, b.score) << context << " rank " << i;  // bitwise
-    if (streamed.explained) {
-      EXPECT_EQ(a.breakdown.base, b.breakdown.base)
-          << context << " rank " << i;
-      EXPECT_EQ(a.breakdown.base_share, b.breakdown.base_share)
-          << context << " rank " << i;
-      EXPECT_EQ(a.breakdown.emotional_alignment,
-                b.breakdown.emotional_alignment)
-          << context << " rank " << i;
-      EXPECT_EQ(a.breakdown.emotion_delta, b.breakdown.emotion_delta)
-          << context << " rank " << i;
-    }
+  }
+  ASSERT_EQ(streamed.breakdowns.size(), reference.breakdowns.size())
+      << context;
+  for (size_t i = 0; i < streamed.breakdowns.size(); ++i) {
+    const ScoreBreakdown& a = streamed.breakdowns[i];
+    const ScoreBreakdown& b = reference.breakdowns[i];
+    EXPECT_EQ(a.base, b.base) << context << " rank " << i;
+    EXPECT_EQ(a.base_share, b.base_share) << context << " rank " << i;
+    EXPECT_EQ(a.emotional_alignment, b.emotional_alignment)
+        << context << " rank " << i;
+    EXPECT_EQ(a.emotion_delta, b.emotion_delta)
+        << context << " rank " << i;
   }
 }
 

@@ -138,23 +138,21 @@ void ExpectBitwiseEqual(const RecommendResponse& a,
     const RecommendedItem& y = b.items[i];
     EXPECT_EQ(x.item, y.item) << context << " rank " << i;
     EXPECT_EQ(x.score, y.score) << context << " rank " << i;  // bitwise
-    EXPECT_EQ(x.breakdown.base, y.breakdown.base) << context;
-    EXPECT_EQ(x.breakdown.base_share, y.breakdown.base_share)
-        << context;
-    EXPECT_EQ(x.breakdown.emotional_alignment,
-              y.breakdown.emotional_alignment)
-        << context;
-    EXPECT_EQ(x.breakdown.emotion_delta, y.breakdown.emotion_delta)
-        << context;
-    ASSERT_EQ(x.breakdown.components.size(),
-              y.breakdown.components.size())
-        << context;
-    for (size_t c = 0; c < x.breakdown.components.size(); ++c) {
-      EXPECT_EQ(x.breakdown.components[c].component,
-                y.breakdown.components[c].component)
+  }
+  ASSERT_EQ(a.breakdowns.size(), b.breakdowns.size()) << context;
+  for (size_t i = 0; i < a.breakdowns.size(); ++i) {
+    const ScoreBreakdown& x = a.breakdowns[i];
+    const ScoreBreakdown& y = b.breakdowns[i];
+    EXPECT_EQ(x.base, y.base) << context;
+    EXPECT_EQ(x.base_share, y.base_share) << context;
+    EXPECT_EQ(x.emotional_alignment, y.emotional_alignment) << context;
+    EXPECT_EQ(x.emotion_delta, y.emotion_delta) << context;
+    ASSERT_EQ(x.components.size(), y.components.size()) << context;
+    for (size_t c = 0; c < x.components.size(); ++c) {
+      EXPECT_EQ(x.components[c].component, y.components[c].component)
           << context;
-      EXPECT_EQ(x.breakdown.components[c].contribution,
-                y.breakdown.components[c].contribution)
+      EXPECT_EQ(x.components[c].contribution,
+                y.components[c].contribution)
           << context;
     }
   }
