@@ -70,6 +70,12 @@ void ParallelFor(ThreadPool* pool, size_t n,
   if (n == 0) return;
   const size_t workers = pool->thread_count();
   const size_t chunk = std::max<size_t>(1, (n + workers - 1) / workers);
+  if (chunk >= n) {
+    // One chunk: a worker would run it while this thread sleeps, at the
+    // cost of two cross-thread wake-ups.
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
   for (size_t begin = 0; begin < n; begin += chunk) {
     const size_t end = std::min(n, begin + chunk);
     pool->Submit([begin, end, &fn] {

@@ -52,7 +52,9 @@ class ThreadPool {
 };
 
 /// Runs `fn(i)` for i in [0, n) across the pool in contiguous chunks and
-/// waits for completion. `fn` must be thread-safe.
+/// waits for completion. `fn` must be thread-safe. When there is only
+/// one chunk (a one-worker pool, or n == 1) it runs on the calling
+/// thread, in index order.
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& fn);
 

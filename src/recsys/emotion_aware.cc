@@ -31,7 +31,11 @@ double EmotionAwareReranker::Alignment(const sum::SmartUserModel& model,
     weight_total += sens;
   }
   if (weight_total == 0.0) return 0.0;
-  return std::clamp(signal / weight_total, -1.0, 1.0);
+  const double alignment = signal / weight_total;
+  // A NaN sensibility or resonance carries no signal; letting it through
+  // would make every score it touches unordered.
+  if (std::isnan(alignment)) return 0.0;
+  return std::clamp(alignment, -1.0, 1.0);
 }
 
 std::pair<double, double> EmotionAwareReranker::ScoreBounds(

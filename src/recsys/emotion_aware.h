@@ -39,7 +39,8 @@ class EmotionAwareReranker {
   void SetItemProfile(ItemId item, const EmotionProfile& profile);
 
   /// Emotional alignment of (user, item): sum over dominant attributes
-  /// of sensibility * valence_sign * resonance, normalized to [-1, 1].
+  /// of sensibility * valence_sign * resonance, normalized to [-1, 1];
+  /// 0 when a NaN sensibility or resonance makes it undefined.
   double Alignment(const sum::SmartUserModel& model, ItemId item) const;
 
   /// Re-scores candidates: score' = (1-beta) * normalized_base +

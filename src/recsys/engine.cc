@@ -184,18 +184,21 @@ spa::Result<LiveUpdateReport> RecsysEngine::ApplyInteractions(
   RefreshOutcome outcome;
   SPA_RETURN_IF_ERROR(hybrid_->Refresh(&outcome));
   // The fallback tier repairs itself with the same dirty-item re-sum
-  // (bitwise == refit). Its outcome is deliberately NOT merged into
-  // the stack's: popularity reports every user affected, which would
-  // wipe the cache on each batch even when no stack component did.
+  // (bitwise == refit). Its outcome is not merged into the stack's:
+  // fallback responses are never cached, so no cache entry depends on
+  // its ranking (a stack popularity component reports its own prefix).
   RefreshOutcome fallback_outcome;
   SPA_RETURN_IF_ERROR(fallback_pop_.Refresh(&fallback_outcome));
   report.refresh_seconds = SecondsSince(refresh_start);
   report.rows_refreshed = outcome.rows_refreshed;
   report.full_rebuild = outcome.full_rebuild;
 
-  // 3. Cache maintenance: drop the affected users' entries, re-stamp
-  // everyone else's to the new matrix version (their recompute would
-  // produce the same bytes — that is exactly what "unaffected" means).
+  // 3. Cache maintenance: drop the affected users' entries and those
+  // whose candidate walk reaches the first changed popularity rank;
+  // re-stamp the rest to the new matrix version. Ranks before
+  // `unchanged_prefix` keep their items and totals, so every component
+  // list such an entry fetched, its min-max normalisation and its
+  // blend are the same bytes at the new version.
   std::unordered_set<UserId> affected;
   report.invalidated_all = outcome.all_users;
   if (!outcome.all_users) {
@@ -226,7 +229,9 @@ spa::Result<LiveUpdateReport> RecsysEngine::ApplyInteractions(
       // re-stamped: an entry staled by an out-of-band matrix mutation
       // must not be resurrected just because no component reported
       // its user for *this* batch.
-      if (outcome.all_users || affected.contains(it->key.user) ||
+      if (outcome.all_users ||
+          it->candidate_reach > outcome.unchanged_prefix ||
+          affected.contains(it->key.user) ||
           it->matrix_version != pre_version) {
         if (it->matrix_version == pre_version) {
           const double freq =
@@ -377,6 +382,15 @@ void RecsysEngine::CacheInsert(uint64_t hash,
                                const RecommendRequest& request,
                                uint64_t sum_user_version,
                                const RecommendResponse& response) const {
+  // Read outside cache_mutex_: the matrix cannot move under the serve
+  // lock the caller holds.
+  size_t reach = SIZE_MAX;
+  if (!request.candidate_items.has_value()) {
+    reach = kComponentDepth + request.exclude_items.size();
+    if (request.exclude_seen == ExcludeSeen::kYes) {
+      reach += matrix_->ItemsOf(request.user).size();
+    }
+  }
   std::lock_guard<std::mutex> lock(cache_mutex_);
   const auto it = cache_index_.find(hash);
   if (it != cache_index_.end()) {
@@ -406,6 +420,7 @@ void RecsysEngine::CacheInsert(uint64_t hash,
   entry.fit_epoch = fit_epoch_;
   entry.matrix_version = matrix_->version();
   entry.sum_user_version = sum_user_version;
+  entry.candidate_reach = reach;
   entry.response = response;
   cache_lru_.push_front(std::move(entry));
   cache_index_[hash] = cache_lru_.begin();

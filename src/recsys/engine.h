@@ -46,14 +46,14 @@
 /// interaction store, every component's fitted state is repaired
 /// incrementally (`Recommender::Refresh` — for the KNN components
 /// only the similarity-index rows a mutation could change are
-/// rebuilt), and only the cache entries of affected users are
-/// dropped. Serving after the call is bitwise-identical to a full
-/// refit on the same matrix. Writers take the engine's exclusive
-/// serve lock; requests hold the shared side, so update-while-serve
-/// is safe by construction. Mutating the matrix *without* going
-/// through `ApplyInteractions` remains what it always was: cache
-/// entries stop matching, and indexed KNN components hard-fail until
-/// a Refresh or refit.
+/// rebuilt), and only the cache entries that may have changed are
+/// dropped (see "Response cache"). Serving after the call is
+/// bitwise-identical to a full refit on the same matrix. Writers take
+/// the engine's exclusive serve lock; requests hold the shared side,
+/// so update-while-serve is safe by construction. Mutating the matrix
+/// *without* going through `ApplyInteractions` remains what it always
+/// was: cache entries stop matching, and indexed KNN components
+/// hard-fail until a Refresh or refit.
 ///
 /// ## Response cache
 ///
@@ -65,9 +65,11 @@
 ///    is compared against the *live* matrix at lookup, so mutating
 ///    the fitted matrix behind the engine's back invalidates every
 ///    entry; a refit additionally clears the cache eagerly.
-///    `ApplyInteractions` instead re-stamps the entries of unaffected
-///    users to the new version (their recompute provably produces the
-///    same bytes) and erases exactly the affected users' entries;
+///    `ApplyInteractions` instead re-stamps the entries it proves
+///    unchanged to the new version (their recompute produces the same
+///    bytes) and erases the rest: entries of affected users, and
+///    entries whose candidate walk reaches the first rank a refresh
+///    changed in a non-personalized ranking (popularity);
 ///  * **SUM user version** — `SumSnapshot::UserVersion(user)` at serve
 ///    time; a single `SumService::Apply` touching the user bumps it,
 ///    so exactly that user's entries stop matching while other users'
@@ -305,9 +307,11 @@ class RecsysEngine {
   // ---- live updates ------------------------------------------------------
   /// Routes one interaction batch into the (mutable) fitted matrix,
   /// repairs every component's fitted state incrementally, and drops
-  /// exactly the affected users' cache entries. Serialized against
-  /// serving via the engine's writer lock. Errors: FailedPrecondition
-  /// when not fitted or fitted without write access.
+  /// the cache entries that may have changed: those of affected users,
+  /// and those whose `candidate_reach` exceeds the refresh's
+  /// `unchanged_prefix`. Serialized against serving via the engine's
+  /// writer lock. Errors: FailedPrecondition when not fitted or fitted
+  /// without write access.
   spa::Result<LiveUpdateReport> ApplyInteractions(
       const std::vector<Interaction>& batch);
 
@@ -354,6 +358,13 @@ class RecsysEngine {
     uint64_t fit_epoch = 0;
     uint64_t matrix_version = 0;
     uint64_t sum_user_version = 0;
+    /// How deep a component's candidate walk down a shared ranking can
+    /// reach for this key: kComponentDepth plus every item its
+    /// exclusions can skip (the deny list, and the user's seen items
+    /// under ExcludeSeen::kYes); SIZE_MAX with an allow list. Fixed at
+    /// insert: a user whose seen set changes is in the applied batch
+    /// or staled out of band, so the entry is dropped either way.
+    size_t candidate_reach = SIZE_MAX;
     RecommendResponse response;
   };
 

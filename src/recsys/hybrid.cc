@@ -40,6 +40,8 @@ spa::Status HybridRecommender::Refresh(RefreshOutcome* outcome) {
     outcome->full_rebuild |= o.full_rebuild;
     outcome->rows_refreshed += o.rows_refreshed;
     outcome->seconds += o.seconds;
+    outcome->unchanged_prefix =
+        std::min(outcome->unchanged_prefix, o.unchanged_prefix);
     outcome->all_users |= o.all_users;
     if (!outcome->all_users) {
       outcome->affected_users.insert(outcome->affected_users.end(),

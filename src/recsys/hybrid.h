@@ -25,8 +25,8 @@ class HybridRecommender : public Recommender {
 
   spa::Status Fit(const InteractionMatrix& matrix) override;
   /// Refreshes every component and merges their outcomes (union of
-  /// affected users, OR of the all-users/full-rebuild flags, summed
-  /// costs).
+  /// affected users, OR of the all-users/full-rebuild flags, minimum
+  /// of the unchanged ranking prefixes, summed costs).
   spa::Status Refresh(RefreshOutcome* outcome) override;
   void RecommendCandidatesInto(const CandidateQuery& query,
                                std::vector<Scored>* out) const override;

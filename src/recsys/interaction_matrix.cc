@@ -250,7 +250,7 @@ void ShardedInteractionMatrix::ApplyBatch(
 
   const auto run = [&](size_t groups,
                        const std::function<void(size_t)>& fn) {
-    if (pool != nullptr && groups > 1) {
+    if (pool != nullptr) {
       ParallelFor(pool, groups, fn);
     } else {
       for (size_t g = 0; g < groups; ++g) fn(g);

@@ -27,13 +27,13 @@ spa::Status PopularityRecommender::Refresh(RefreshOutcome* outcome) {
         "Popularity not fitted; nothing to refresh");
   }
   if (matrix_->version() == synced_version_) return spa::Status::OK();
-  outcome->all_users = true;
   const auto start = std::chrono::steady_clock::now();
   const std::vector<ItemId> dirty =
       matrix_->ItemsTouchedSince(synced_version_);
   // ranked_ is sorted under a strict total order, so a dirty item's
   // entry sits exactly at lower_bound of its *old* total. Brand-new
-  // items have no entry yet.
+  // items have no entry yet, and an item whose total re-sums to the
+  // same value keeps its entry where it is.
   std::vector<size_t> stale;
   std::vector<Scored> moved;
   stale.reserve(dirty.size());
@@ -43,6 +43,7 @@ spa::Status PopularityRecommender::Refresh(RefreshOutcome* outcome) {
     for (const auto& [user, w] : matrix_->UsersOf(item)) total += w;
     const auto [it, inserted] = total_.try_emplace(item, total);
     if (!inserted) {
+      if (it->second == total) continue;
       stale.push_back(static_cast<size_t>(
           std::lower_bound(ranked_.begin(), ranked_.end(),
                            Scored{item, it->second}, RanksBefore) -
@@ -52,7 +53,8 @@ spa::Status PopularityRecommender::Refresh(RefreshOutcome* outcome) {
     moved.push_back({item, total});
   }
   synced_version_ = matrix_->version();
-  Rerank(std::move(stale), std::move(moved));
+  outcome->unchanged_prefix = std::min(
+      outcome->unchanged_prefix, Rerank(std::move(stale), std::move(moved)));
   outcome->rows_refreshed += dirty.size();
   outcome->seconds += SecondsSince(start);
   return spa::Status::OK();
@@ -67,13 +69,14 @@ void PopularityRecommender::Rank() {
   SortAndTruncate(&ranked_, ranked_.size());
 }
 
-void PopularityRecommender::Rerank(std::vector<size_t> stale,
-                                   std::vector<Scored> moved) {
+size_t PopularityRecommender::Rerank(std::vector<size_t> stale,
+                                     std::vector<Scored> moved) {
+  if (moved.empty()) return SIZE_MAX;  // every stale entry is also moved
   // 1. Close the stale entries' gaps, one block move per gap.
   std::sort(stale.begin(), stale.end());
-  auto write = ranked_.begin() +
-               static_cast<std::ptrdiff_t>(
-                   stale.empty() ? ranked_.size() : stale.front());
+  const size_t first_stale = stale.empty() ? SIZE_MAX : stale.front();
+  auto write = ranked_.begin() + static_cast<std::ptrdiff_t>(
+                                     std::min(first_stale, ranked_.size()));
   for (size_t s = 0; s < stale.size(); ++s) {
     const auto from = ranked_.begin() +
                       static_cast<std::ptrdiff_t>(stale[s] + 1);
@@ -99,6 +102,10 @@ void PopularityRecommender::Rerank(std::vector<size_t> stale,
     kept_end = at;
     *--out = *m;
   }
+  // Ranks before the first stale entry and before the first landing
+  // (the last one placed) hold the same items at the same totals.
+  return std::min(first_stale,
+                  static_cast<size_t>(out - ranked_.begin()));
 }
 
 void PopularityRecommender::RecommendCandidatesInto(

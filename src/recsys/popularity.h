@@ -21,9 +21,12 @@ class PopularityRecommender : public Recommender {
   /// just those items back into the ranking at their new totals, so
   /// the cost is O(dirty items · log catalog) plus one block move, and
   /// the ranking stays bitwise-identical to a refit. Popularity is
-  /// non-personalized — a changed total can move any user's blend —
-  /// so every user is reported affected whenever the matrix moved; a
-  /// clean refresh reports nothing.
+  /// non-personalized, so it names no affected users: it reports in
+  /// `unchanged_prefix` the first rank whose item or total changed —
+  /// the lower of the re-totalled items' old ranks and the ranks they
+  /// land at. Ranks before it are untouched, so a response whose
+  /// candidates never reach it cannot change. A clean refresh, or one
+  /// whose totals re-sum to the same values, reports nothing.
   spa::Status Refresh(RefreshOutcome* outcome) override;
   void RecommendCandidatesInto(const CandidateQuery& query,
                                std::vector<Scored>* out) const override;
@@ -33,8 +36,10 @@ class PopularityRecommender : public Recommender {
   /// Builds `ranked_` from `total_` in matrix item order (Fit only).
   void Rank();
   /// Drops the entries at `stale` (positions in `ranked_`) and merges
-  /// `moved` back in, keeping `ranked_` sorted by RanksBefore.
-  void Rerank(std::vector<size_t> stale, std::vector<Scored> moved);
+  /// `moved` back in, keeping `ranked_` sorted by RanksBefore. Returns
+  /// the length of the prefix it left untouched (SIZE_MAX when `moved`
+  /// is empty).
+  size_t Rerank(std::vector<size_t> stale, std::vector<Scored> moved);
 
   const InteractionMatrix* matrix_ = nullptr;
   std::unordered_map<ItemId, double> total_;  // interaction weight sums

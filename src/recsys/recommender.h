@@ -1,6 +1,7 @@
 #ifndef SPA_RECSYS_RECOMMENDER_H_
 #define SPA_RECSYS_RECOMMENDER_H_
 
+#include <cstdint>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -50,7 +51,7 @@ struct CandidateQuery {
 };
 
 /// \brief What one Recommender::Refresh call did — the serving layer
-/// aggregates these to decide which users' cached responses to drop.
+/// aggregates these to decide which cached responses to drop.
 struct RefreshOutcome {
   /// The component keeps a fit-time index and brought it in sync.
   bool refreshed_index = false;
@@ -66,6 +67,12 @@ struct RefreshOutcome {
   /// Set when the component cannot bound the affected user set — the
   /// serving layer must treat every user as potentially changed.
   bool all_users = false;
+  /// Ranks [0, unchanged_prefix) of the component's non-personalized
+  /// ranking kept their items and scores through this refresh; SIZE_MAX
+  /// when no such ranking changed. A response whose candidate walk
+  /// stays inside that prefix cannot have changed (popularity reports
+  /// this in place of naming users; see PopularityRecommender).
+  size_t unchanged_prefix = SIZE_MAX;
 };
 
 /// \brief Interface: fit on interactions, produce ranked suggestions.

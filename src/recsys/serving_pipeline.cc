@@ -168,7 +168,7 @@ spa::Result<StreamTicketPtr> ServingPipeline::SubmitWithDeadline(
   Op op;
   op.ticket = std::make_shared<ReadTicket>();
   op.on_complete = std::move(on_complete);
-  op.request = std::move(request);
+  op.payload = std::move(request);
   if (deadline_seconds > 0.0) {
     op.has_deadline = true;
     op.deadline = Clock::now() +
@@ -184,7 +184,7 @@ spa::Result<StreamTicketPtr> ServingPipeline::SubmitInteractions(
   Op op;
   op.ticket = std::make_shared<WriteTicket>(StreamOpKind::kInteractions);
   op.on_complete = std::move(on_complete);
-  op.interactions = std::move(batch);
+  op.payload = std::move(batch);
   return Admit(std::move(op), /*writer=*/true);
 }
 
@@ -203,7 +203,7 @@ spa::Result<StreamTicketPtr> ServingPipeline::SubmitSumUpdates(
   Op op;
   op.ticket = std::make_shared<WriteTicket>(StreamOpKind::kSumUpdates);
   op.on_complete = std::move(on_complete);
-  op.sum_updates = std::move(updates);
+  op.payload = std::move(updates);
   return Admit(std::move(op), /*writer=*/true);
 }
 
@@ -403,7 +403,8 @@ void ServingPipeline::ExecuteWrite(Op op) {
   WriteTicket& ticket = AsWrite(*op.ticket);
   BatchPin& pin = ticket.pinned_;
   if (ticket.kind() == StreamOpKind::kInteractions) {
-    ticket.update_report = engine_->ApplyInteractions(op.interactions);
+    ticket.update_report = engine_->ApplyInteractions(
+        std::get<std::vector<Interaction>>(op.payload));
     if (ticket.update_report.ok()) {
       pin.matrix_version = ticket.update_report.value().matrix_version;
     }
@@ -416,7 +417,8 @@ void ServingPipeline::ExecuteWrite(Op op) {
     // service (the router tier), reading version() afterwards could
     // observe a later concurrent publish.
     uint64_t published = 0;
-    ticket.sum_status = sums_->ApplyAll(op.sum_updates, &published);
+    ticket.sum_status = sums_->ApplyAll(
+        std::get<std::vector<sum::SumUpdate>>(op.payload), &published);
     pin.sum_version =
         ticket.sum_status.ok() ? published : sums_->version();
   }
@@ -464,7 +466,7 @@ size_t ServingPipeline::ExecuteReadBatch(std::vector<Op> batch) {
   std::vector<RecommendRequest> requests;
   requests.reserve(batch.size());
   for (Op& op : batch) {
-    requests.push_back(std::move(op.request));
+    requests.push_back(std::move(std::get<RecommendRequest>(op.payload)));
   }
   BatchPin pin;
   auto results = engine_->RecommendMicroBatch(requests, &pin);
@@ -521,7 +523,8 @@ void ServingPipeline::DegradeRead(Op op, Clock::time_point now) {
   ReadTicket& ticket = AsRead(*op.ticket);
   RecommendResponse response;
   spa::Status status =
-      engine_->RecommendFallbackInto(op.request, &response, &ticket.pinned_);
+      engine_->RecommendFallbackInto(std::get<RecommendRequest>(op.payload),
+                                     &response, &ticket.pinned_);
   ticket.queue_seconds_ = waited;
   ticket.serve_seconds_ = SecondsBetween(now, Clock::now());
   if (status.ok()) {

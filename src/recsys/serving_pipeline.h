@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <variant>
 #include <vector>
 
 #include "common/stats.h"
@@ -147,8 +148,10 @@ struct PipelineConfig {
 /// \brief What kind of op a ticket tracks.
 enum class StreamOpKind { kRecommend, kInteractions, kSumUpdates };
 
-/// \brief Ticket lifecycle. kDone and kShed are terminal.
-enum class TicketState { kQueued, kServing, kDone, kShed };
+/// \brief Ticket lifecycle: kQueued from admission until the ticket
+/// turns terminal, as kDone (served, degraded-served or applied) or
+/// kShed (dropped by admission control or an expired deadline).
+enum class TicketState { kQueued, kDone, kShed };
 
 /// \brief Caller's handle to one submitted op.
 ///
@@ -320,13 +323,19 @@ class ServingPipeline {
     /// Fired once, right after the ticket turns terminal.
     StreamTicket::Callback on_complete;
     std::chrono::steady_clock::time_point submitted_at{};
-    RecommendRequest request;                // kRecommend
-    std::vector<Interaction> interactions;   // kInteractions
-    std::vector<sum::SumUpdate> sum_updates; // kSumUpdates
+    /// The lane payload, by the ticket's kind: kRecommend,
+    /// kInteractions or kSumUpdates.
+    std::variant<RecommendRequest, std::vector<Interaction>,
+                 std::vector<sum::SumUpdate>>
+        payload;
     /// kDegrade read deadline (meaningless when !has_deadline).
     std::chrono::steady_clock::time_point deadline{};
     bool has_deadline = false;
   };
+  // libstdc++'s deque packs 512 / sizeof(T) elements per node: at most
+  // 256 bytes keeps two ops per node, so Submit does not allocate a
+  // node per op.
+  static_assert(sizeof(Op) <= 256);
 
   spa::Result<StreamTicketPtr> Admit(Op op, bool writer);
   /// Turns `op`'s ticket terminal, then fires its callback (never

@@ -181,6 +181,14 @@ spa::Status SumService::Validate(const SumUpdate& update) const {
           static_cast<long long>(update.user()), op.attribute,
           catalog_->size()));
     }
+    const bool reinforcement =
+        op.kind == SumOp::Kind::kReward || op.kind == SumOp::Kind::kPunish;
+    if (reinforcement && !(op.amount >= 0.0)) {
+      return spa::Status::InvalidArgument(spa::StrFormat(
+          "update for user %lld has reinforcement magnitude %g; it must "
+          "be >= 0",
+          static_cast<long long>(update.user()), op.amount));
+    }
   }
   return spa::Status::OK();
 }

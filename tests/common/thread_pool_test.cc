@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -107,6 +108,25 @@ TEST(ParallelForTest, FewerElementsThanThreads) {
   std::atomic<int> counter{0};
   ParallelFor(&pool, 3, [&counter](size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 3);
+}
+
+TEST(ParallelForTest, OneChunkRunsOnTheCallingThread) {
+  // A one-worker pool always makes one chunk, and so does n == 1 on a
+  // wider pool: either runs on the caller, in index order.
+  const std::thread::id caller = std::this_thread::get_id();
+  ThreadPool one(1);
+  std::vector<size_t> order;
+  std::vector<std::thread::id> ran_on;
+  ParallelFor(&one, 5, [&](size_t i) {
+    order.push_back(i);
+    ran_on.push_back(std::this_thread::get_id());
+  });
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+  ThreadPool four(4);
+  ParallelFor(&four, 1,
+              [&](size_t) { ran_on.push_back(std::this_thread::get_id()); });
+  ASSERT_EQ(ran_on.size(), 6u);
+  for (const std::thread::id id : ran_on) EXPECT_EQ(id, caller);
 }
 
 }  // namespace

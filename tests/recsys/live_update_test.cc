@@ -470,17 +470,44 @@ TEST(KnnRefreshTest, LazyKnnCannotBoundTheAffectedSet) {
   EXPECT_FALSE(outcome.refreshed_index);
 }
 
+/// The whole popularity ranking, item and score per rank.
+std::vector<Scored> FullRanking(const PopularityRecommender& rec) {
+  CandidateQuery query;
+  query.k = SIZE_MAX;
+  query.exclude_seen = ExcludeSeen::kNo;
+  return rec.RecommendCandidates(query);
+}
+
+/// The first rank at which two rankings differ in item or (bitwise)
+/// score — a rank only one of them has counts — or SIZE_MAX when they
+/// are equal.
+size_t FirstDifference(const std::vector<Scored>& a,
+                       const std::vector<Scored>& b) {
+  for (size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+    if (i >= a.size() || i >= b.size() || a[i].item != b[i].item ||
+        a[i].score != b[i].score) {
+      return i;
+    }
+  }
+  return SIZE_MAX;
+}
+
 TEST(PopularityRefreshTest, RefreshMatchesRefitBitwise) {
   InteractionMatrix m = MakeRandomMatrix(53, 30, 15, 2);
   PopularityRecommender rec;
   ASSERT_TRUE(rec.Fit(m).ok());
+  const std::vector<Scored> before = FullRanking(rec);
   Rng rng(59);
   for (const Interaction& x : MakeBatch(&rng, 10, 30, 15)) {
     m.Add(x.user, x.item, x.weight);
   }
   RefreshOutcome outcome;
   ASSERT_TRUE(rec.Refresh(&outcome).ok());
-  EXPECT_TRUE(outcome.all_users);  // popularity is non-personalized
+  // Popularity names no users; it reports the first rank it changed.
+  EXPECT_FALSE(outcome.all_users);
+  EXPECT_TRUE(outcome.affected_users.empty());
+  EXPECT_EQ(outcome.unchanged_prefix,
+            FirstDifference(before, FullRanking(rec)));
   EXPECT_GT(outcome.rows_refreshed, 0u);
 
   PopularityRecommender refit;
@@ -509,6 +536,7 @@ TEST(PopularityRefreshTest, CleanRefreshIsANoOp) {
   EXPECT_FALSE(outcome.all_users);
   EXPECT_EQ(outcome.rows_refreshed, 0u);
   EXPECT_TRUE(outcome.affected_users.empty());
+  EXPECT_EQ(outcome.unchanged_prefix, SIZE_MAX);
 }
 
 /// Fitted items of the popularity differential tests live at
@@ -589,6 +617,7 @@ TEST(PopularityRefreshTest, IncrementalRerankMatchesRefitOverRandomBatches) {
   size_t ties = 0;
   for (int round = 0; round < 60; ++round) {
     const auto batch = MakeTieForcingBatch(&rng, m, 40, 30, &new_items);
+    const std::vector<Scored> before = FullRanking(live);
     if (round % 2 == 0) {
       m.ApplyBatch(batch, nullptr);
     } else {
@@ -596,7 +625,10 @@ TEST(PopularityRefreshTest, IncrementalRerankMatchesRefitOverRandomBatches) {
     }
     RefreshOutcome outcome;
     ASSERT_TRUE(live.Refresh(&outcome).ok());
-    EXPECT_TRUE(outcome.all_users);
+    EXPECT_FALSE(outcome.all_users);
+    EXPECT_EQ(outcome.unchanged_prefix,
+              FirstDifference(before, FullRanking(live)))
+        << "round " << round;
     PopularityRecommender refit;
     ASSERT_TRUE(refit.Fit(m).ok());
     CandidateQuery query;
@@ -735,8 +767,9 @@ TEST(LiveUpdateEngineTest, ShardCountDoesNotChangeRankings) {
 
 TEST(LiveUpdateEngineTest, OnlyAffectedUsersCacheEntriesAreDropped) {
   // Two communities share no items, so a batch touching community 0
-  // must leave community-1 entries hot. (KNN-only stack: popularity
-  // would honestly report everyone affected.)
+  // must leave community-1 entries hot. (KNN-only stack: on a
+  // ten-item catalogue every popularity candidate walk reaches the
+  // ranks a batch moves, so a popularity component would drop them.)
   InteractionMatrix matrix = MakeTwoCommunityMatrix();
   // Force the incremental path: the 10-user fixture trips the default
   // full-rebuild threshold, and a full rebuild honestly reports every
@@ -798,6 +831,137 @@ TEST(LiveUpdateEngineTest, OutOfBandStaleEntriesAreNotResurrected) {
 
   ASSERT_TRUE(engine->Recommend(for_user0).ok());
   EXPECT_EQ(engine->cache_stats().hits, 0u);  // recomputed, not served
+}
+
+std::unique_ptr<RecsysEngine> MakeKnnPopularityEngine(size_t cache_capacity) {
+  EngineConfig config;
+  config.response_cache_capacity = cache_capacity;
+  KnnConfig knn;
+  knn.refresh_full_rebuild_fraction = 1.0;  // incremental: users named
+  auto engine = std::make_unique<RecsysEngine>(config);
+  engine->AddComponent(std::make_unique<ItemKnnRecommender>(knn), 0.6);
+  engine->AddComponent(std::make_unique<PopularityRecommender>(), 0.4);
+  return engine;
+}
+
+TEST(LiveUpdateEngineTest, SurvivingEntriesMatchColdReserveOverRandomBatches) {
+  // ItemKNN + popularity: an apply keeps the entries of users ItemKNN
+  // does not name whose popularity walk ends before the first rank the
+  // batch moved. Random batches hit top-ranked, tail and brand-new
+  // items; after every apply each request — survivors served from the
+  // cache, the rest recomputed — must equal a cold serve on a
+  // cache-less twin that applied the same batches.
+  constexpr size_t kUsers = 120;
+  constexpr size_t kItems = 400;
+  InteractionMatrix matrix = MakeRandomMatrix(97, kUsers, kItems, 4);
+  InteractionMatrix reference_matrix = MakeRandomMatrix(97, kUsers, kItems, 4);
+  auto live = MakeKnnPopularityEngine(/*cache_capacity=*/4096);
+  auto reference = MakeKnnPopularityEngine(/*cache_capacity=*/0);
+  ASSERT_TRUE(live->Fit(&matrix).ok());
+  ASSERT_TRUE(reference->Fit(&reference_matrix).ok());
+
+  Rng rng(101);
+  // The live popularity ranking, which places the batches' items.
+  const auto popularity_ranking = [&live] {
+    RecommendRequest all;
+    all.k = SIZE_MAX;
+    all.exclude_seen = ExcludeSeen::kNo;
+    return live->RecommendFallback(all).value().items;
+  };
+  // The tail band the light touches below hit: just past
+  // kComponentDepth, where each walk's seen items and deny list decide
+  // whether it reaches a change.
+  const auto tail_rank = [&rng] {
+    return kComponentDepth - 5 + static_cast<size_t>(rng.UniformInt(0, 30));
+  };
+  const std::vector<RecommendedItem> initial = popularity_ranking();
+  // One request per user (distinct cache keys): plain, seen items
+  // kept, a deny list of top items, or an allow list of top and tail
+  // items (short enough that every allowed item shows in the response).
+  std::vector<RecommendRequest> requests;
+  for (UserId u = 0; u < static_cast<UserId>(kUsers); u += 2) {
+    RecommendRequest request;
+    request.user = u;
+    request.k = static_cast<size_t>(rng.UniformInt(3, 10));
+    switch (u % 8) {
+      case 2:
+        request.exclude_seen = ExcludeSeen::kNo;
+        break;
+      case 4:
+        for (int i = 0; i < 5; ++i) {  // skipped ranks lengthen the walk
+          request.exclude_items.insert(
+              initial[static_cast<size_t>(rng.UniformInt(0, 29))].item);
+        }
+        break;
+      case 6:
+        request.candidate_items.emplace();
+        for (int i = 0; i < 3; ++i) {
+          request.candidate_items->insert(
+              initial[static_cast<size_t>(rng.UniformInt(0, 9))].item);
+          request.candidate_items->insert(initial[tail_rank()].item);
+        }
+        break;
+      default:
+        break;
+    }
+    requests.push_back(std::move(request));
+  }
+
+  ItemId next_new_item = static_cast<ItemId>(kItems) + 1000;
+  size_t survived = 0;
+  for (int round = 0; round < 60; ++round) {
+    for (const RecommendRequest& request : requests) {
+      ASSERT_TRUE(live->Recommend(request).ok());
+    }
+    const size_t cached = live->cache_size();
+
+    const std::vector<RecommendedItem> ranked = popularity_ranking();
+    ASSERT_GT(ranked.size(), 200u);
+    std::vector<Interaction> batch;
+    const int size = static_cast<int>(rng.UniformInt(1, 3));
+    for (int i = 0; i < size; ++i) {
+      Interaction x;
+      x.user = static_cast<UserId>(
+          rng.UniformInt(0, static_cast<int64_t>(kUsers) - 1));
+      switch (round % 3) {
+        case 0:  // top-ranked: the move reaches every walk
+          x.item = ranked[static_cast<size_t>(rng.UniformInt(0, 9))].item;
+          x.weight = rng.Uniform(0.2, 3.0);
+          break;
+        case 1:  // tail: a light touch barely moves the item
+          x.item = ranked[tail_rank()].item;
+          x.weight = rng.Uniform(0.01, 0.05);
+          break;
+        default:  // brand-new: lands anywhere by its weight
+          x.item = next_new_item++;
+          x.weight = rng.Uniform(0.01, 6.0);
+          break;
+      }
+      batch.push_back(x);
+    }
+    const auto report = live->ApplyInteractions(batch);
+    ASSERT_TRUE(report.ok());
+    ASSERT_TRUE(reference->ApplyInteractions(batch).ok());
+    ASSERT_GE(cached, report.value().cache_entries_invalidated);
+    const size_t kept = cached - report.value().cache_entries_invalidated;
+    survived += kept;
+
+    const uint64_t hits_before = live->cache_stats().hits;
+    for (const RecommendRequest& request : requests) {
+      const auto a = live->Recommend(request);
+      const auto b = reference->Recommend(request);
+      ASSERT_TRUE(a.ok());
+      ASSERT_TRUE(b.ok());
+      SCOPED_TRACE(testing::Message() << "round " << round << " user "
+                                      << request.user);
+      ExpectSameResponses(a.value(), b.value());
+    }
+    // Every kept and every re-warmed entry was served from the cache.
+    EXPECT_EQ(live->cache_stats().hits - hits_before,
+              kept + report.value().entries_rewarmed)
+        << "round " << round;
+  }
+  EXPECT_GT(survived, 0u);
 }
 
 TEST(LiveUpdateEngineTest, RewarmedEntriesMatchColdReserveAfterApply) {
@@ -862,9 +1026,10 @@ TEST(LiveUpdateEngineTest, RewarmedEntriesMatchColdReserveAfterApply) {
 
 TEST(LiveUpdateEngineTest, RewarmHonorsLimitAndPrefersHigherFrequency) {
   // kRewarmLimit caps writer-lane work; candidates are taken in
-  // (frequency desc, user asc) order so the hottest users win.
-  // Popularity's refresh marks every user affected, so one apply
-  // invalidates every cached entry.
+  // (frequency desc, user asc) order so the hottest users win. The
+  // twelve-item popularity ranking is shorter than every entry's
+  // candidate walk, so one apply that moves it invalidates every
+  // cached entry.
   constexpr UserId kUsers = static_cast<UserId>(kRewarmLimit) + 1;
   EngineConfig config;
   config.response_cache_capacity = 2 * (kRewarmLimit + 1);

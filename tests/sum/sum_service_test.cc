@@ -1,4 +1,5 @@
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -114,6 +115,21 @@ TEST_F(SumServiceTest, RejectsOutOfCatalogAttribute) {
   // Nothing was published.
   EXPECT_EQ(service_.version(), 0u);
   EXPECT_EQ(service_.size(), 0u);
+}
+
+TEST_F(SumServiceTest, RejectsNegativeOrNaNReinforcementMagnitude) {
+  // Reward/Punish require a magnitude >= 0; the service is where a
+  // writer's value is checked, so a bad one is a Status, not an abort.
+  const AttributeId motivated = Emo(eit::EmotionalAttribute::kMotivated);
+  for (const double magnitude :
+       {-0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(service_.Apply(SumUpdate(1).Reward(motivated, magnitude)).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(service_.Apply(SumUpdate(1).Punish(motivated, magnitude)).code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(service_.version(), 0u);
+  EXPECT_TRUE(service_.Apply(SumUpdate(1).Reward(motivated, 0.0)).ok());
 }
 
 TEST_F(SumServiceTest, ApplyAllIsAtomicOnInvalidBatch) {
