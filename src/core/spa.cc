@@ -335,8 +335,7 @@ Spa::MakeServingRouter(recsys::RouterConfig config) {
       }
     };
   }
-  return recsys::ServingRouter::Create(std::move(config),
-                                       std::move(bootstrap),
+  return recsys::ServingRouter::Create(std::move(config), bootstrap,
                                        &sum_service_);
 }
 

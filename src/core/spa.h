@@ -242,7 +242,7 @@ class Spa {
 
   /// The LifeLog's interactions as an ordered batch (the weighting
   /// RefreshRecommenders feeds its matrix with) — the bootstrap log
-  /// router worker replicas replay.
+  /// the router replays into its replicas' matrix.
   std::vector<recsys::Interaction> CollectInteractions() const;
 
   /// Items the user touched per the LifeLog that never entered the

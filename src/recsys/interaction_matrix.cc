@@ -32,6 +32,19 @@ ShardedInteractionMatrix::ShardedInteractionMatrix(size_t shards)
   }
 }
 
+ShardedInteractionMatrix::ShardedInteractionMatrix(
+    const ShardedInteractionMatrix& other)
+    : global_(std::make_unique<Global>(*other.global_)) {
+  user_shards_.reserve(other.user_shards_.size());
+  item_shards_.reserve(other.item_shards_.size());
+  for (const auto& shard : other.user_shards_) {
+    user_shards_.push_back(std::make_unique<UserShard>(*shard));
+  }
+  for (const auto& shard : other.item_shards_) {
+    item_shards_.push_back(std::make_unique<ItemShard>(*shard));
+  }
+}
+
 size_t ShardedInteractionMatrix::UserShardIndex(UserId user) const {
   return user_shards_.size() == 1
              ? 0

@@ -60,12 +60,18 @@ class ShardedInteractionMatrix {
   /// reproduces the unsharded layout bit-for-bit.
   explicit ShardedInteractionMatrix(size_t shards = 1);
 
-  /// Movable (the platform rebuilds its store in place), not copyable
-  /// (shards own locks; serving layers borrow by reference).
+  /// Movable (the platform rebuilds its store in place).
   ShardedInteractionMatrix(ShardedInteractionMatrix&&) = default;
   ShardedInteractionMatrix& operator=(ShardedInteractionMatrix&&) =
       default;
-  ShardedInteractionMatrix(const ShardedInteractionMatrix&) = delete;
+  /// Deep copy: rows, postings, norms, dirty-row stamps and journals,
+  /// registration order and counters, so the copy answers every read
+  /// (`TouchedSince` included) exactly as `other` does and then
+  /// evolves independently. Each shard gets a fresh lock. Requires no
+  /// concurrent writer on `other`.
+  ShardedInteractionMatrix(const ShardedInteractionMatrix& other);
+  /// Not copy-assignable: serving layers borrow a matrix by reference
+  /// and would see it replaced underneath them.
   ShardedInteractionMatrix& operator=(const ShardedInteractionMatrix&) =
       delete;
 
@@ -180,7 +186,12 @@ class ShardedInteractionMatrix {
     /// Appends the rows touched after `since` (unsorted, may repeat).
     void CollectSince(uint64_t since, std::vector<Id>* out) const;
   };
+  /// Shards and the global state copy their data, never their locks:
+  /// a copy starts with its own unlocked mutexes.
   struct UserShard {
+    UserShard() = default;
+    UserShard(const UserShard& other)
+        : rows(other.rows), norm_sq(other.norm_sq), dirty(other.dirty) {}
     std::unordered_map<UserId, std::vector<std::pair<ItemId, double>>>
         rows;
     std::unordered_map<UserId, double> norm_sq;
@@ -188,6 +199,11 @@ class ShardedInteractionMatrix {
     std::mutex mu;
   };
   struct ItemShard {
+    ItemShard() = default;
+    ItemShard(const ItemShard& other)
+        : postings(other.postings),
+          norm_sq(other.norm_sq),
+          dirty(other.dirty) {}
     std::unordered_map<ItemId, std::vector<std::pair<UserId, double>>>
         postings;
     std::unordered_map<ItemId, double> norm_sq;
@@ -198,6 +214,12 @@ class ShardedInteractionMatrix {
   /// writers do not race; the mutex guards the registration-order
   /// vectors.
   struct Global {
+    Global() = default;
+    Global(const Global& other)
+        : user_order(other.user_order),
+          item_order(other.item_order),
+          version(other.version.load(std::memory_order_relaxed)),
+          interactions(other.interactions.load(std::memory_order_relaxed)) {}
     std::vector<UserId> user_order;
     std::vector<ItemId> item_order;
     std::atomic<uint64_t> version{0};

@@ -9,15 +9,8 @@ namespace spa::recsys {
 // ---- WorkerNode ----------------------------------------------------------
 
 WorkerNode::WorkerNode(WorkerId id, const RouterConfig& config,
-                       sum::SumService* sums,
-                       const std::vector<Interaction>& bootstrap)
-    : id_(id), matrix_(config.engine.interaction_shards) {
-  // Replay the ordered bootstrap log: same Add sequence => bitwise-
-  // identical matrix (bytes, norms, registration order, version) on
-  // every replica, for any shard count.
-  for (const Interaction& it : bootstrap) {
-    matrix_.Add(it.user, it.item, it.weight);
-  }
+                       sum::SumService* sums, InteractionMatrix matrix)
+    : id_(id), matrix_(std::move(matrix)) {
   engine_ = std::make_unique<RecsysEngine>(config.engine);
   config.stack_builder(*engine_);
   engine_->set_sum_service(sums);
@@ -68,7 +61,7 @@ uint64_t FanoutTicket::matrix_version() const {
 // ---- ServingRouter -------------------------------------------------------
 
 spa::Result<std::unique_ptr<ServingRouter>> ServingRouter::Create(
-    RouterConfig config, std::vector<Interaction> bootstrap,
+    RouterConfig config, const std::vector<Interaction>& bootstrap,
     sum::SumService* sums) {
   SPA_CHECK_MSG(config.workers >= 1,
                 "serving router needs >= 1 worker node");
@@ -79,10 +72,21 @@ spa::Result<std::unique_ptr<ServingRouter>> ServingRouter::Create(
   }
   std::unique_ptr<ServingRouter> router(
       new ServingRouter(std::move(config), sums));
-  router->nodes_.reserve(router->config_.workers);
-  for (WorkerId id = 0; id < router->config_.workers; ++id) {
-    auto node =
-        std::make_unique<WorkerNode>(id, router->config_, sums, bootstrap);
+  // Replay the ordered log once; every replica starts from a copy of
+  // the result (the last one takes the original), so all replicas
+  // hold identical bytes, norms, registration order, versions and
+  // dirty-row journals by construction.
+  InteractionMatrix replayed(router->config_.engine.interaction_shards);
+  for (const Interaction& it : bootstrap) {
+    replayed.Add(it.user, it.item, it.weight);
+  }
+  const size_t workers = router->config_.workers;
+  router->nodes_.reserve(workers);
+  for (WorkerId id = 0; id < workers; ++id) {
+    auto node = std::make_unique<WorkerNode>(
+        id, router->config_, sums,
+        id + 1 < workers ? InteractionMatrix(replayed)
+                         : std::move(replayed));
     if (!node->status().ok()) return node->status();
     router->nodes_.push_back(std::move(node));
   }

@@ -24,8 +24,10 @@
 /// indexes + response cache) and its own `ServingPipeline` queue — and
 /// owns a group of the `OwnershipDirectory`'s virtual shards. The
 /// replica set and the ownership table are built once, in `Create`,
-/// and never change. Reads (`Submit`) are routed to the owner of the
-/// requesting user; the in-process nodes are the explicit stepping
+/// and never change: `Create` replays the bootstrap log once and hands
+/// every node a copy of the resulting matrix, so the replicas start
+/// identical by construction. Reads (`Submit`) are routed to the owner
+/// of the requesting user; the in-process nodes are the explicit stepping
 /// stone the ROADMAP calls for before multi-process workers, so the
 /// router deliberately talks to nodes only through their pipelines
 /// (the future RPC seam).
@@ -91,15 +93,14 @@ struct RouterConfig {
 
 /// \brief One worker node: a full shard-group serving replica.
 ///
-/// Construction replays the bootstrap log into the node's own matrix,
-/// builds + fits the node's engine and starts the node's pipeline.
-/// Nodes live on the heap and never move (the engine borrows the
-/// matrix, the pipeline borrows the engine).
+/// Construction takes ownership of the node's bootstrapped matrix,
+/// builds + fits the node's engine on it and starts the node's
+/// pipeline. Nodes live on the heap and never move (the engine
+/// borrows the matrix, the pipeline borrows the engine).
 class WorkerNode {
  public:
   WorkerNode(WorkerId id, const RouterConfig& config,
-             sum::SumService* sums,
-             const std::vector<Interaction>& bootstrap);
+             sum::SumService* sums, InteractionMatrix matrix);
 
   WorkerNode(const WorkerNode&) = delete;
   WorkerNode& operator=(const WorkerNode&) = delete;
@@ -176,13 +177,14 @@ struct RouterStats {
 class ServingRouter {
  public:
   /// Builds `config.workers` nodes from `bootstrap` (the ordered
-  /// interaction log all replicas start from; released once every
-  /// node has replayed it) and `sums` (the shared emotional-context
+  /// interaction log all replicas start from: replayed once into one
+  /// matrix that every node receives a copy of; the router keeps no
+  /// reference to the log) and `sums` (the shared emotional-context
   /// service; borrowed, may be null, must outlive the router).
   /// Errors: InvalidArgument (no stack_builder), or the first node's
   /// Fit error. Worker counts of 0 abort (SPA_CHECK).
   static spa::Result<std::unique_ptr<ServingRouter>> Create(
-      RouterConfig config, std::vector<Interaction> bootstrap,
+      RouterConfig config, const std::vector<Interaction>& bootstrap,
       sum::SumService* sums);
 
   ~ServingRouter();

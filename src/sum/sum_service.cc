@@ -1,6 +1,7 @@
 #include "sum/sum_service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -181,9 +182,17 @@ spa::Status SumService::Validate(const SumUpdate& update) const {
           static_cast<long long>(update.user()), op.attribute,
           catalog_->size()));
     }
+    // Amounts are stored (set/evidence) or scale a reinforcement step;
+    // a NaN would pass the model's clamps and an infinity would poison
+    // evidence and reinforcement, so neither is accepted.
+    if (!std::isfinite(op.amount)) {
+      return spa::Status::InvalidArgument(spa::StrFormat(
+          "update for user %lld has non-finite amount %g for attribute %d",
+          static_cast<long long>(update.user()), op.amount, op.attribute));
+    }
     const bool reinforcement =
         op.kind == SumOp::Kind::kReward || op.kind == SumOp::Kind::kPunish;
-    if (reinforcement && !(op.amount >= 0.0)) {
+    if (reinforcement && op.amount < 0.0) {
       return spa::Status::InvalidArgument(spa::StrFormat(
           "update for user %lld has reinforcement magnitude %g; it must "
           "be >= 0",

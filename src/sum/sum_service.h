@@ -169,8 +169,8 @@ class SumService {
   /// Applies one update atomically and publishes a new snapshot.
   /// Creates the user's model when absent (even with no ops). Errors:
   /// InvalidArgument (op references an attribute outside the catalog,
-  /// or a reward/punish magnitude is negative or NaN); on error
-  /// nothing is published.
+  /// an amount is NaN or infinite, or a reward/punish magnitude is
+  /// negative); on error nothing is published.
   spa::Status Apply(const SumUpdate& update);
 
   /// Applies a batch atomically under a single version bump (one

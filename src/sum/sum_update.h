@@ -19,9 +19,9 @@ namespace spa::sum {
 /// \brief One primitive mutation of a user's model.
 struct SumOp {
   enum class Kind : uint8_t {
-    kSetValue = 0,        ///< value <- amount (clamped to [0,1])
-    kSetSensibility,      ///< sensibility <- amount (clamped to [0,1])
-    kAddEvidence,         ///< evidence += amount
+    kSetValue = 0,        ///< value <- amount (finite; clamped to [0,1])
+    kSetSensibility,      ///< sensibility <- amount (finite; clamped to [0,1])
+    kAddEvidence,         ///< evidence += amount (finite)
     kReward,              ///< reinforcement reward, magnitude = amount
     kPunish,              ///< reinforcement punish, magnitude = amount
     kValueFromSensibility,///< value <- current sensibility
@@ -31,7 +31,9 @@ struct SumOp {
   /// Target attribute (ignored by kDecay).
   AttributeId attribute = -1;
   /// Value or reinforcement magnitude (ignored by
-  /// kValueFromSensibility and kDecay).
+  /// kValueFromSensibility and kDecay). `SumService` rejects a NaN or
+  /// infinite amount, and a negative reinforcement magnitude, with
+  /// InvalidArgument: the model's clamps would pass a NaN through.
   double amount = 0.0;
   /// Attribute kind decayed by kDecay.
   AttributeKind decay_kind = AttributeKind::kEmotional;

@@ -282,6 +282,45 @@ TEST(ShardedMatrixTest, JournalStaysExactUnderConcurrentAdds) {
   EXPECT_TRUE(SomeJournalsOverflowed(m));
 }
 
+TEST(ShardedMatrixTest, CopyIsIdenticalAndIndependent) {
+  // The router hands every replica a copy of one replayed matrix. A
+  // copy must answer every read as its source does (TouchedSince from
+  // the journals and from the stamp scan included), stay identical
+  // under the same batches, and share nothing with its source. One
+  // shard overflows its journals; eight shards do not.
+  ThreadPool pool(2);
+  for (const size_t shards : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE(shards);
+    InteractionMatrix source = MakeRandomMatrix(29, 60, 30, shards);
+    InteractionMatrix replay = MakeRandomMatrix(29, 60, 30, shards);
+    InteractionMatrix copy(source);
+    ExpectIdenticalMatrices(source, copy);
+
+    Rng rng(37 + shards);
+    for (int round = 0; round < 3; ++round) {
+      // Brand-new users and items plus a repeated cell.
+      auto batch = MakeBatch(&rng, 20, 64, 34);
+      batch.push_back(batch.front());
+      source.ApplyBatch(batch, &pool);
+      replay.ApplyBatch(batch, &pool);
+      copy.ApplyBatch(batch, &pool);
+      ExpectIdenticalMatrices(source, copy);
+    }
+
+    // An existing cell, then a brand-new user and item, on the copy.
+    const UserId user = source.users().front();
+    copy.Add(user, source.ItemsOf(user).front().first, 1.5);
+    copy.Add(1000, 1000, 2.0);
+    ExpectIdenticalMatrices(source, replay);
+    EXPECT_EQ(copy.version(), source.version() + 2);
+    EXPECT_EQ(copy.user_count(), source.user_count() + 1);
+    EXPECT_NE(copy.UserNormSquared(user), source.UserNormSquared(user));
+    EXPECT_EQ(copy.UsersTouchedSince(source.version()),
+              (std::vector<UserId>{user, 1000}));
+    EXPECT_TRUE(source.UsersTouchedSince(source.version()).empty());
+  }
+}
+
 TEST(ShardedMatrixTest, MoveAssignPreservesContent) {
   // core::Spa rebuilds its store in place via move assignment.
   InteractionMatrix a = MakeRandomMatrix(17, 20, 10, 2);
@@ -1155,40 +1194,6 @@ TEST(LiveUpdateEngineTest, ServeWhileApplyInteractionsIsSafe) {
 // count given the same op order, (b) op-order-invariant row contents
 // for row-disjoint batches, and (c) first-appearance registration
 // order.
-
-/// Strict comparison: identical stored bytes including row order and
-/// registration order (the shard-count invariance contract).
-void ExpectSameMatrixBytes(const InteractionMatrix& a,
-                           const InteractionMatrix& b) {
-  ASSERT_EQ(a.user_count(), b.user_count());
-  ASSERT_EQ(a.item_count(), b.item_count());
-  EXPECT_EQ(a.interaction_count(), b.interaction_count());
-  EXPECT_EQ(a.version(), b.version());
-  EXPECT_EQ(a.users(), b.users());  // registration order
-  EXPECT_EQ(a.items(), b.items());
-  for (const UserId user : a.users()) {
-    const auto& ra = a.ItemsOf(user);
-    const auto& rb = b.ItemsOf(user);
-    ASSERT_EQ(ra.size(), rb.size()) << "user " << user;
-    for (size_t i = 0; i < ra.size(); ++i) {
-      EXPECT_EQ(ra[i].first, rb[i].first) << "user " << user;
-      EXPECT_EQ(ra[i].second, rb[i].second) << "user " << user;
-    }
-    EXPECT_EQ(a.UserNormSquared(user), b.UserNormSquared(user))
-        << "user " << user;
-  }
-  for (const ItemId item : a.items()) {
-    const auto& pa = a.UsersOf(item);
-    const auto& pb = b.UsersOf(item);
-    ASSERT_EQ(pa.size(), pb.size()) << "item " << item;
-    for (size_t i = 0; i < pa.size(); ++i) {
-      EXPECT_EQ(pa[i].first, pb[i].first) << "item " << item;
-      EXPECT_EQ(pa[i].second, pb[i].second) << "item " << item;
-    }
-    EXPECT_EQ(a.ItemNormSquared(item), b.ItemNormSquared(item))
-        << "item " << item;
-  }
-}
 
 /// Canonical comparison: identical *content* with rows and postings
 /// sorted — what op-order shuffles must preserve (registration and

@@ -1,7 +1,11 @@
 #ifndef SPA_TESTS_RECSYS_RECSYS_TEST_UTIL_H_
 #define SPA_TESTS_RECSYS_RECSYS_TEST_UTIL_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "common/profiler.h"
+#include "gtest/gtest.h"
 #include "recsys/interaction_matrix.h"
 #include "recsys/recommender.h"
 
@@ -37,6 +41,64 @@ inline InteractionMatrix MakeTwoCommunityMatrix() {
     }
   }
   return m;
+}
+
+/// Strict comparison: identical stored bytes including row order and
+/// registration order (the shard-count invariance contract).
+inline void ExpectSameMatrixBytes(const InteractionMatrix& a,
+                                  const InteractionMatrix& b) {
+  ASSERT_EQ(a.user_count(), b.user_count());
+  ASSERT_EQ(a.item_count(), b.item_count());
+  EXPECT_EQ(a.interaction_count(), b.interaction_count());
+  EXPECT_EQ(a.version(), b.version());
+  EXPECT_EQ(a.users(), b.users());  // registration order
+  EXPECT_EQ(a.items(), b.items());
+  for (const UserId user : a.users()) {
+    const auto& ra = a.ItemsOf(user);
+    const auto& rb = b.ItemsOf(user);
+    ASSERT_EQ(ra.size(), rb.size()) << "user " << user;
+    for (size_t i = 0; i < ra.size(); ++i) {
+      EXPECT_EQ(ra[i].first, rb[i].first) << "user " << user;
+      EXPECT_EQ(ra[i].second, rb[i].second) << "user " << user;
+    }
+    EXPECT_EQ(a.UserNormSquared(user), b.UserNormSquared(user))
+        << "user " << user;
+  }
+  for (const ItemId item : a.items()) {
+    const auto& pa = a.UsersOf(item);
+    const auto& pb = b.UsersOf(item);
+    ASSERT_EQ(pa.size(), pb.size()) << "item " << item;
+    for (size_t i = 0; i < pa.size(); ++i) {
+      EXPECT_EQ(pa[i].first, pb[i].first) << "item " << item;
+      EXPECT_EQ(pa[i].second, pb[i].second) << "item " << item;
+    }
+    EXPECT_EQ(a.ItemNormSquared(item), b.ItemNormSquared(item))
+        << "item " << item;
+  }
+}
+
+/// Full identity, for matrices of one shard count: the stored bytes
+/// above plus per-shard versions and the dirty-row answers at cursor 0
+/// and at version - 3 (the stamp scan or the touch journals, depending
+/// on how full each shard's journal is) — everything a copy or a
+/// replica bootstrap must reproduce.
+inline void ExpectIdenticalMatrices(const InteractionMatrix& a,
+                                    const InteractionMatrix& b) {
+  ExpectSameMatrixBytes(a, b);
+  ASSERT_EQ(a.shard_count(), b.shard_count());
+  for (size_t s = 0; s < a.shard_count(); ++s) {
+    EXPECT_EQ(a.user_shard_version(s), b.user_shard_version(s))
+        << "shard " << s;
+    EXPECT_EQ(a.item_shard_version(s), b.item_shard_version(s))
+        << "shard " << s;
+  }
+  const uint64_t recent = a.version() < 3 ? 0 : a.version() - 3;
+  for (const uint64_t since : {uint64_t{0}, recent}) {
+    EXPECT_EQ(a.UsersTouchedSince(since), b.UsersTouchedSince(since))
+        << "since " << since;
+    EXPECT_EQ(a.ItemsTouchedSince(since), b.ItemsTouchedSince(since))
+        << "since " << since;
+  }
 }
 
 /// The cumulative L2 snapshot of one profiler item (zeroed when the

@@ -1,10 +1,12 @@
 // Robustness of RecommendRequest validation and serving, the engine's
 // untrusted input: huge k, huge allow and deny lists, unknown users and
-// items, and NaN or infinite emotion values (in the SUM a request pins
-// and in item emotion profiles) must come back as a Status, never a
-// crash (the suite runs under ASan/UBSan in CI). Accepted requests must
-// honour the request's policy, and a cached response must equal its
-// recomputation bytewise.
+// items, out-of-range emotion values in the SUM a request pins, and NaN
+// or infinite values in item emotion profiles must come back as a
+// Status, never a crash (the suite runs under ASan/UBSan in CI). The
+// SUM service refuses NaN and infinite amounts outright, so the fixture
+// checks that refusal and keeps the finite hostile values. Accepted
+// requests must honour the request's policy, and a cached response must
+// equal its recomputation bytewise.
 
 #include <bit>
 #include <cmath>
@@ -32,17 +34,22 @@ constexpr size_t kItems = 60;
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// An emotion value drawn from what a hostile writer may hand over.
-double EmotionValue(Rng* rng) {
+/// An emotion value drawn from what a hostile writer may hand over;
+/// `finite` leaves out the NaNs and infinities.
+double EmotionValue(Rng* rng, bool finite = false) {
   static constexpr double kOdd[] = {kNaN, -kNaN, kInf, -kInf, -1.0,
                                     2.0,  0.0,   1.0,  1e308, -0.0};
+  constexpr int64_t kFirstFinite = 4;
   if (rng->Bernoulli(0.5)) {
-    return kOdd[rng->UniformInt(0, std::size(kOdd) - 1)];
+    return kOdd[rng->UniformInt(finite ? kFirstFinite : 0,
+                                std::size(kOdd) - 1)];
   }
   return rng->Uniform(0.0, 1.0);
 }
 
 /// Emotional context with hostile values for the users of the matrix.
+/// The same batch with one NaN or infinite amount added is refused
+/// whole first: nothing publishes.
 void PublishHostileModels(Rng* rng, const sum::AttributeCatalog& catalog,
                           sum::SumService* sums) {
   std::vector<sum::SumUpdate> updates;
@@ -50,20 +57,19 @@ void PublishHostileModels(Rng* rng, const sum::AttributeCatalog& catalog,
     sum::SumUpdate update(user);
     for (const eit::EmotionalAttribute attr : eit::AllEmotionalAttributes()) {
       const sum::AttributeId id = catalog.EmotionalId(attr);
+      const double value = EmotionValue(rng, /*finite=*/true);
       switch (rng->UniformInt(0, 4)) {
         case 0:
-          update.SetSensibility(id, EmotionValue(rng));
+          update.SetSensibility(id, value);
           break;
         case 1:
-          update.SetValue(id, EmotionValue(rng));
+          update.SetValue(id, value);
           break;
         case 2:  // reinforcement magnitudes are validated (>= 0)
-          update.SetSensibility(id, EmotionValue(rng))
-              .Reward(id, rng->Uniform(0.0, 2.0));
+          update.SetSensibility(id, value).Reward(id, rng->Uniform(0.0, 2.0));
           break;
         case 3:
-          update.SetSensibility(id, EmotionValue(rng))
-              .Punish(id, rng->Uniform(0.0, 2.0));
+          update.SetSensibility(id, value).Punish(id, rng->Uniform(0.0, 2.0));
           break;
         default:
           break;
@@ -71,6 +77,27 @@ void PublishHostileModels(Rng* rng, const sum::AttributeCatalog& catalog,
     }
     updates.push_back(std::move(update));
   }
+
+  using Op = sum::SumUpdate& (sum::SumUpdate::*)(sum::AttributeId, double);
+  static constexpr Op kOps[] = {
+      &sum::SumUpdate::SetValue, &sum::SumUpdate::SetSensibility,
+      &sum::SumUpdate::AddEvidence, &sum::SumUpdate::Reward,
+      &sum::SumUpdate::Punish};
+  static constexpr double kNonFinite[] = {kNaN, -kNaN, kInf, -kInf};
+  sum::SumUpdate poisoned(static_cast<UserId>(
+      rng->UniformInt(0, static_cast<int64_t>(kUsers) - 1)));
+  (poisoned.*kOps[rng->UniformInt(0, std::size(kOps) - 1)])(
+      catalog.EmotionalId(eit::AllEmotionalAttributes()[0]),
+      kNonFinite[rng->UniformInt(0, std::size(kNonFinite) - 1)]);
+  std::vector<sum::SumUpdate> refused = updates;
+  refused.insert(refused.begin() +
+                     rng->UniformInt(0, static_cast<int64_t>(kUsers)),
+                 std::move(poisoned));
+  const uint64_t version = sums->version();
+  EXPECT_EQ(sums->ApplyAll(refused).code(),
+            spa::StatusCode::kInvalidArgument);
+  EXPECT_EQ(sums->version(), version);
+
   ASSERT_TRUE(sums->ApplyAll(updates).ok());
 }
 

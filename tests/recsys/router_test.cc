@@ -15,6 +15,7 @@
 #include "gtest/gtest.h"
 #include "recsys/engine.h"
 #include "recsys/knn_cf.h"
+#include "recsys/recsys_test_util.h"
 #include "recsys/router/ownership_directory.h"
 #include "sum/sum_service.h"
 
@@ -239,6 +240,31 @@ TEST(ServingRouterDeathTest, ZeroWorkersAborts) {
   EXPECT_DEATH(
       { auto r = ServingRouter::Create(config, MakeBootstrapLog(1), &sums); },
       ">= 1 worker");
+}
+
+TEST(ServingRouterTest, ReplicasStartFromIdenticalMatrices) {
+  // Create replays the log once and copies the result into every
+  // replica: each must equal a fresh replay of the log in every byte,
+  // norm, counter and dirty-row answer.
+  sum::AttributeCatalog catalog =
+      sum::AttributeCatalog::EmagisterDefault();
+  sum::SumService sums(&catalog);
+  const std::vector<Interaction> log = MakeBootstrapLog(5);
+  for (const size_t shards : {size_t{1}, size_t{3}, size_t{8}}) {
+    const InteractionMatrix replay = MatrixFromLog(log, shards);
+    for (size_t workers = 1; workers <= 4; ++workers) {
+      RouterConfig config = MakeRouterConfig(5, workers);
+      config.engine.interaction_shards = shards;
+      auto created = ServingRouter::Create(config, log, &sums);
+      ASSERT_TRUE(created.ok()) << created.status();
+      const ServingRouter& router = *created.value();
+      for (WorkerId id = 0; id < workers; ++id) {
+        SCOPED_TRACE(::testing::Message() << shards << " shards, worker "
+                                          << id << " of " << workers);
+        ExpectIdenticalMatrices(router.worker(id)->matrix(), replay);
+      }
+    }
+  }
 }
 
 TEST(ServingRouterTest, RoutedServingMatchesSingleProcessBitwise) {

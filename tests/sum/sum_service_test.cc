@@ -132,6 +132,47 @@ TEST_F(SumServiceTest, RejectsNegativeOrNaNReinforcementMagnitude) {
   EXPECT_TRUE(service_.Apply(SumUpdate(1).Reward(motivated, 0.0)).ok());
 }
 
+TEST_F(SumServiceTest, RejectsNonFiniteAmounts) {
+  // The model's clamps pass a NaN straight through and an infinity
+  // saturates evidence and reinforcement, so every amount-carrying op
+  // must be finite: a Status, alone or inside a batch, and no publish.
+  const AttributeId motivated = Emo(eit::EmotionalAttribute::kMotivated);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  using Op = SumUpdate& (SumUpdate::*)(AttributeId, double);
+  for (const Op op : {&SumUpdate::SetValue, &SumUpdate::SetSensibility,
+                      &SumUpdate::AddEvidence, &SumUpdate::Reward,
+                      &SumUpdate::Punish}) {
+    for (const double amount : {kNaN, -kNaN, kInf, -kInf}) {
+      SumUpdate update(1);
+      (update.*op)(motivated, amount);
+      EXPECT_EQ(service_.Apply(update).code(), StatusCode::kInvalidArgument)
+          << amount;
+      const std::vector<SumUpdate> batch = {
+          SumUpdate(2).SetValue(motivated, 0.5), update};
+      EXPECT_EQ(service_.ApplyAll(batch).code(),
+                StatusCode::kInvalidArgument)
+          << amount;
+    }
+  }
+  EXPECT_EQ(service_.version(), 0u);
+  EXPECT_FALSE(service_.snapshot()->Contains(1));
+  EXPECT_FALSE(service_.snapshot()->Contains(2));
+
+  // Finite out-of-range amounts stay legal; the set ops clamp them.
+  ASSERT_TRUE(service_
+                  .Apply(SumUpdate(1)
+                             .SetValue(motivated, 1e308)
+                             .SetSensibility(motivated, -1.0)
+                             .AddEvidence(motivated, -1e308))
+                  .ok());
+  const SumSnapshotPtr snapshot = service_.snapshot();
+  const SmartUserModel* model = snapshot->Get(1).value();
+  EXPECT_EQ(model->value(motivated), 1.0);
+  EXPECT_EQ(model->sensibility(motivated), 0.0);
+  EXPECT_EQ(model->evidence(motivated), -1e308);
+}
+
 TEST_F(SumServiceTest, ApplyAllIsAtomicOnInvalidBatch) {
   std::vector<SumUpdate> batch;
   batch.push_back(SumUpdate(1).SetValue(0, 0.5));
